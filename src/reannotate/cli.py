@@ -21,18 +21,17 @@ from .strategies import StrategyKind, rank
 _STRATEGY_NAMES = [kind.value for kind in StrategyKind]
 
 
-def _add_input_flags(parser: argparse.ArgumentParser, *, predictions: bool = True) -> None:
+def _add_input_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--hierarchy", required=True, help="hierarchy JSON file")
     parser.add_argument("--dataset", required=True, help="reannotation pool file")
     parser.add_argument(
         "--format", choices=corpus.POOL_FORMATS, default="jsonl",
         help="pool file format (default: jsonl)",
     )
-    if predictions:
-        parser.add_argument(
-            "--predictions", action="append", default=[], metavar="FILE",
-            help="per-model predictions file (repeat once per model)",
-        )
+    parser.add_argument(
+        "--predictions", action="append", default=[], metavar="FILE",
+        help="per-model predictions file (repeat once per model)",
+    )
     parser.add_argument("--gold", help="gold relabels file")
     parser.add_argument("--label-map", help="JSON label transformation map")
 
@@ -115,7 +114,7 @@ def _load_bundle(args, *, need_predictions: bool = False, need_gold: bool = Fals
     if label_map is not None:
         pool = corpus.apply_label_map(pool, label_map)
     predictions = None
-    if getattr(args, "predictions", None):
+    if args.predictions:
         predictions = corpus.load_predictions(args.predictions, pool)
     if need_predictions and predictions is None:
         raise ValidationError("this command needs --predictions")
@@ -166,22 +165,18 @@ def _write_manifest(out: Path, command: str, config: dict, outputs: list[str]) -
 
 
 def _common_config(args) -> dict:
-    config = {
+    return {
         "hierarchy": args.hierarchy,
         "dataset": args.dataset,
         "format": args.format,
-        "predictions": list(getattr(args, "predictions", []) or []),
+        "predictions": list(args.predictions),
         "gold": args.gold,
         "label_map": args.label_map,
+        "strategies": list(args.strategy),
+        "seed": args.seed,
+        "budgets": args.budgets,
+        "negative_label": args.negative_label,
     }
-    if hasattr(args, "strategy"):
-        config.update(
-            strategies=list(args.strategy),
-            seed=args.seed,
-            budgets=args.budgets,
-            negative_label=args.negative_label,
-        )
-    return config
 
 
 def _abort_on_problems(problems: list[str]) -> None:

@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping
 
 from .errors import ParseError, ValidationError
-from .hierarchy import LabelHierarchy
+from .hierarchy import LabelHierarchy, _read_json
 
 POOL_FORMATS = ("jsonl", "tacred")
 _PARTITIONS = ("train", "dev", "test")
@@ -47,8 +47,8 @@ class ReannotationPool:
         self._instances = tuple(instances)
         if not self._instances:
             raise ValidationError("pool is empty")
-        by_id: dict[str, Instance] = {}
-        for inst in self._instances:
+        position: dict[str, int] = {}
+        for index, inst in enumerate(self._instances):
             if not inst.id:
                 raise ValidationError("instance with empty id")
             if not inst.label:
@@ -58,10 +58,10 @@ class ReannotationPool:
                     f"instance {inst.id!r} has partition {inst.partition!r}, "
                     f"expected one of {_PARTITIONS}"
                 )
-            if inst.id in by_id:
+            if inst.id in position:
                 raise ValidationError(f"duplicate instance id: {inst.id!r}")
-            by_id[inst.id] = inst
-        self._by_id = by_id
+            position[inst.id] = index
+        self._position = position
 
     def __len__(self) -> int:
         return len(self._instances)
@@ -70,7 +70,7 @@ class ReannotationPool:
         return iter(self._instances)
 
     def __contains__(self, instance_id: object) -> bool:
-        return instance_id in self._by_id
+        return instance_id in self._position
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ReannotationPool):
@@ -78,13 +78,13 @@ class ReannotationPool:
         return self._instances == other._instances
 
     def ids(self) -> tuple[str, ...]:
-        return tuple(self._by_id)
+        return tuple(self._position)
 
     def get(self, instance_id: str) -> Instance:
-        return self._by_id[instance_id]
+        return self._instances[self._position[instance_id]]
 
     def label_of(self, instance_id: str) -> str:
-        return self._by_id[instance_id].label
+        return self.get(instance_id).label
 
     def labels(self) -> set[str]:
         """Distinct dataset labels occurring in the pool."""
@@ -110,69 +110,72 @@ class PredictionSet:
     """
 
     def __init__(self, records: Iterable[PredictionRecord], pool: ReannotationPool) -> None:
-        table: dict[tuple[str, str], PredictionRecord] = {}
-        model_ids: dict[str, None] = {}
+        position = pool._position
+        # one column per model, in pool order; a filled slot is a duplicate
+        columns: dict[str, list[PredictionRecord | None]] = {}
         for rec in records:
-            model_ids.setdefault(rec.model_id, None)
             if not 0.0 <= rec.confidence <= 1.0:
                 raise ValidationError(
                     f"confidence {rec.confidence!r} out of [0, 1] "
                     f"(model {rec.model_id!r}, instance {rec.instance_id!r})"
                 )
-            if rec.instance_id not in pool:
+            slot = position.get(rec.instance_id)
+            if slot is None:
                 raise ValidationError(
                     f"prediction for unknown instance {rec.instance_id!r} "
                     f"(model {rec.model_id!r})"
                 )
-            key = (rec.model_id, rec.instance_id)
-            if key in table:
+            column = columns.get(rec.model_id)
+            if column is None:
+                column = columns[rec.model_id] = [None] * len(position)
+            if column[slot] is not None:
                 raise ValidationError(
                     f"duplicate prediction for model {rec.model_id!r}, "
                     f"instance {rec.instance_id!r}"
                 )
-            table[key] = rec
-        if not table:
+            column[slot] = rec
+        if not columns:
             raise ValidationError("no prediction records")
-        missing = [
-            (m, i) for m in model_ids for i in pool.ids() if (m, i) not in table
-        ]
+        missing = sum(column.count(None) for column in columns.values())
         if missing:
+            model, column = next((m, c) for m, c in columns.items() if None in c)
+            first = (model, pool.ids()[column.index(None)])
             raise ValidationError(
-                f"incomplete predictions: {len(missing)} missing (model, instance) "
-                f"pairs, first {missing[0]}"
+                f"incomplete predictions: {missing} missing (model, instance) "
+                f"pairs, first {first}"
             )
-        self._table = table
-        self._model_ids = tuple(model_ids)
-        self._pool_ids = pool.ids()
+        self._position = position
+        self._columns = {m: tuple(column) for m, column in columns.items()}
 
     @property
     def model_ids(self) -> tuple[str, ...]:
-        return self._model_ids
+        return tuple(self._columns)
 
     @property
     def k(self) -> int:
         """Ensemble size."""
-        return len(self._model_ids)
+        return len(self._columns)
 
     def record(self, model_id: str, instance_id: str) -> PredictionRecord:
-        return self._table[(model_id, instance_id)]
+        return self._columns[model_id][self._position[instance_id]]
 
     def for_instance(self, instance_id: str) -> tuple[PredictionRecord, ...]:
         """All models' records for one instance, in model order."""
-        try:
-            return tuple(self._table[(m, instance_id)] for m in self._model_ids)
-        except KeyError:
-            raise ValidationError(f"no predictions for instance {instance_id!r}") from None
+        slot = self._position.get(instance_id)
+        if slot is None:
+            raise ValidationError(f"no predictions for instance {instance_id!r}")
+        return tuple([column[slot] for column in self._columns.values()])
 
     def records_for_model(self, model_id: str) -> tuple[PredictionRecord, ...]:
         """One model's records, in pool order."""
-        if model_id not in self._model_ids:
-            raise ValidationError(f"unknown model {model_id!r}")
-        return tuple(self._table[(model_id, i)] for i in self._pool_ids)
+        try:
+            return self._columns[model_id]
+        except KeyError:
+            raise ValidationError(f"unknown model {model_id!r}") from None
 
     def labels(self) -> set[str]:
         """Distinct predicted labels across all models."""
-        return {rec.label for rec in self._table.values()}
+        return {rec.label for column in self._columns.values() for rec in column}
 
 
 @dataclass(frozen=True)
@@ -232,18 +235,8 @@ class GoldSet:
     def records(self) -> tuple[GoldRecord, ...]:
         return tuple(self._by_id.values())
 
-    def covers(self, ids: Iterable[str]) -> bool:
-        return self._pool_ids.issuperset(ids)
-
 
 # -- file loading --------------------------------------------------------
-
-
-def _read_json(path: Path) -> Any:
-    try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
 
 
 def _iter_jsonl(path: Path) -> Iterator[tuple[int, dict]]:
@@ -257,7 +250,7 @@ def _iter_jsonl(path: Path) -> Iterator[tuple[int, dict]]:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ParseError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise ParseError(f"{path}:{lineno}: record is not an object")
@@ -329,10 +322,11 @@ def load_predictions(
 ) -> PredictionSet:
     """Load one predictions file per model into a rectangular PredictionSet.
 
-    Each jsonl record carries model, id, label, and confidence; a single
-    file must not mix model ids.
+    Each jsonl record carries model, id, label, and confidence; each file
+    holds exactly one model, and no other file uses that model.
     """
     records: list[PredictionRecord] = []
+    read_from: dict[str, Path] = {}
     for source in sources:
         path = Path(source)
         file_model: str | None = None
@@ -347,13 +341,20 @@ def load_predictions(
             if isinstance(conf, bool) or not isinstance(conf, (int, float)):
                 raise ParseError(f"{where}: field 'confidence' must be a number")
             if file_model is None:
+                if model in read_from:
+                    raise ValidationError(
+                        f"{path}: model {model!r} was already read from {read_from[model]}"
+                    )
                 file_model = model
+                read_from[model] = path
             elif model != file_model:
                 raise ValidationError(
                     f"{path}: mixes model ids {file_model!r} and {model!r}; "
                     f"one predictions file per model"
                 )
             records.append(PredictionRecord(model, iid, label, float(conf)))
+        if file_model is None:
+            raise ValidationError(f"{path}: no prediction records")
     return PredictionSet(records, pool)
 
 

@@ -20,6 +20,13 @@ from .strategies import RankedList
 METRICS = ("jaccard", "efficiency", "precision", "recall", "f1")
 
 
+def _check_budgets(schedule: BudgetSchedule, pool_size: int) -> None:
+    if schedule.budgets[-1] > pool_size:
+        raise ValidationError(
+            f"budget {schedule.budgets[-1]} exceeds pool size {pool_size}"
+        )
+
+
 @dataclass(frozen=True)
 class BudgetSchedule:
     """Strictly increasing, nonnegative reannotation budgets."""
@@ -42,10 +49,7 @@ class BudgetSchedule:
     @classmethod
     def explicit(cls, budgets: Iterable[int], pool_size: int) -> "BudgetSchedule":
         schedule = cls(tuple(budgets))
-        if schedule.budgets[-1] > pool_size:
-            raise ValidationError(
-                f"budget {schedule.budgets[-1]} exceeds pool size {pool_size}"
-            )
+        _check_budgets(schedule, pool_size)
         return schedule
 
     @classmethod
@@ -102,13 +106,6 @@ class CurveSeries:
             if point.budget == budget:
                 return point.value
         raise ValidationError(f"no curve point at budget {budget}")
-
-
-def _check_budgets(schedule: BudgetSchedule, pool_size: int) -> None:
-    if schedule.budgets[-1] > pool_size:
-        raise ValidationError(
-            f"budget {schedule.budgets[-1]} exceeds pool size {pool_size}"
-        )
 
 
 def jaccard_curve(a: RankedList, b: RankedList, schedule: BudgetSchedule) -> CurveSeries:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 from .errors import ParseError, ValidationError
 
@@ -172,16 +172,21 @@ class LabelHierarchy:
         return sorted({label for label in labels if label not in self._nodes})
 
 
+def _read_json(path: Path) -> Any:
+    """Parse a whole file as one JSON document; any decoding failure is a ParseError."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+
+
 def load_hierarchy(source: str | Path) -> LabelHierarchy:
     """Load a hierarchy document: {"nodes": [{"name": ..., "parent": ...}, ...]}.
 
     Exactly one node must have a null parent; record order does not matter.
     """
     path = Path(source)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+    doc = _read_json(path)
     if not isinstance(doc, dict) or not isinstance(doc.get("nodes"), list):
         raise ParseError(f"{path}: expected an object with a 'nodes' array")
     records: list[tuple[str, str | None]] = []

@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import csv
 import enum
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
+from typing import Callable
 
 from .corpus import Instance, PredictionSet, ReannotationPool
 from .errors import ValidationError
@@ -39,6 +41,15 @@ class StrategyKind(enum.Enum):
             raise ValidationError(f"unknown strategy {name!r}") from None
 
 
+def _mean_distance(
+    instance: Instance, predictions: PredictionSet, distance: Callable[[str, str], int]
+) -> Fraction:
+    """Mean of ``distance(dataset label, prediction)`` over all K models' predictions."""
+    records = predictions.for_instance(instance.id)
+    total = sum(distance(instance.label, rec.label) for rec in records)
+    return Fraction(total, len(records))
+
+
 def graph_distance_score(
     instance: Instance, predictions: PredictionSet, hierarchy: LabelHierarchy
 ) -> Fraction:
@@ -47,18 +58,14 @@ def graph_distance_score(
     Models agreeing with the dataset label contribute 0; the mean runs over
     all K models.
     """
-    records = predictions.for_instance(instance.id)
-    total = sum(hierarchy.tree_distance(instance.label, rec.label) for rec in records)
-    return Fraction(total, len(records))
+    return _mean_distance(instance, predictions, hierarchy.tree_distance)
 
 
 def lca_distance_score(
     instance: Instance, predictions: PredictionSet, hierarchy: LabelHierarchy
 ) -> Fraction:
     """Mean distance from the dataset label up to its LCA with each model's prediction."""
-    records = predictions.for_instance(instance.id)
-    total = sum(hierarchy.distance_to_lca(instance.label, rec.label) for rec in records)
-    return Fraction(total, len(records))
+    return _mean_distance(instance, predictions, hierarchy.distance_to_lca)
 
 
 def confidence_score(instance: Instance, predictions: PredictionSet) -> Fraction:
@@ -138,27 +145,21 @@ def rank(
         if not 0 <= seed < _MAX_SEED:
             raise ValidationError(f"seed {seed} outside [0, 2^64)")
         rng = random.Random(seed)
-        entries = [
-            ScoredInstance(iid, Fraction(rng.random())) for iid in sorted(pool.ids())
-        ]
+        draws = {iid: Fraction(rng.random()) for iid in sorted(pool.ids())}
+        score = lambda inst: draws[inst.id]
+    elif predictions is None:
+        raise ValidationError(f"{kind.value} strategy requires predictions")
+    elif kind is StrategyKind.CONFIDENCE:
+        score = lambda inst: confidence_score(inst, predictions)
+    elif hierarchy is None:
+        raise ValidationError(f"{kind.value} strategy requires a hierarchy")
     else:
-        if predictions is None:
-            raise ValidationError(f"{kind.value} strategy requires predictions")
-        if kind is StrategyKind.CONFIDENCE:
-            entries = [
-                ScoredInstance(inst.id, confidence_score(inst, predictions))
-                for inst in pool
-            ]
-        else:
-            if hierarchy is None:
-                raise ValidationError(f"{kind.value} strategy requires a hierarchy")
-            scorer = (
-                graph_distance_score if kind is StrategyKind.GD else lca_distance_score
-            )
-            entries = [
-                ScoredInstance(inst.id, scorer(inst, predictions, hierarchy))
-                for inst in pool
-            ]
-    entries.sort(key=lambda entry: entry.instance_id)
-    entries.sort(key=lambda entry: entry.score, reverse=True)  # stable: ties stay id-ascending
+        distance = (
+            hierarchy.tree_distance if kind is StrategyKind.GD else hierarchy.distance_to_lca
+        )
+        score = lambda inst: _mean_distance(inst, predictions, distance)
+    entries = [ScoredInstance(inst.id, score(inst)) for inst in pool]
+    scale = math.lcm(*{e.score.denominator for e in entries})  # score * scale is an exact int
+    entries.sort(key=lambda entry: entry.instance_id)  # the stable sort below keeps ties so
+    entries.sort(key=lambda e: e.score.numerator * (scale // e.score.denominator), reverse=True)
     return RankedList(kind, tuple(entries))

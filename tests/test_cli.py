@@ -91,6 +91,50 @@ def test_validate_unparseable_file_exits_2(tmp_path, excerpt):
     assert code == 2
 
 
+DEEP_JSON = "[" * 200000
+
+
+@pytest.mark.parametrize("target", ["hierarchy", "tacred", "label_map", "jsonl_line"])
+def test_deeply_nested_json_exits_2(tmp_path, excerpt, capsys, target):
+    write_bundle(tmp_path, excerpt, make_pool({"s1": "per:parent"}))
+    inputs = {"--hierarchy": tmp_path / "hierarchy.json", "--dataset": tmp_path / "pool.jsonl"}
+    extra = []
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP_JSON)
+    if target == "hierarchy":
+        inputs["--hierarchy"] = deep
+    elif target == "tacred":
+        inputs["--dataset"] = deep
+        extra = ["--format", "tacred"]
+    elif target == "label_map":
+        extra = ["--label-map", str(deep)]
+    else:
+        deep.write_text('{"id": "s1", "relation": "per:parent"}\n' + DEEP_JSON + "\n")
+        inputs["--dataset"] = deep
+    flags = [str(part) for pair in inputs.items() for part in pair]
+    assert main(["validate", *flags, *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "invalid JSON" in err
+    assert err.count("\n") == 1
+
+
+def test_validate_rejects_empty_predictions_file(worked_bundle, capsys):
+    tmp_path, flags = worked_bundle
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("\n")
+    assert main(["validate", *flags, "--predictions", str(empty)]) == 1
+    assert "empty.jsonl: no prediction records" in capsys.readouterr().err
+
+
+def test_validate_rejects_model_read_twice(worked_bundle, capsys):
+    tmp_path, flags = worked_bundle
+    again = tmp_path / "again.jsonl"
+    again.write_bytes((tmp_path / "preds_m1.jsonl").read_bytes())
+    assert main(["validate", *flags, "--predictions", str(again)]) == 1
+    err = capsys.readouterr().err
+    assert "again.jsonl: model 'm1' was already read from" in err
+
+
 def test_validate_applies_label_map(tmp_path, excerpt):
     pool = make_pool({"s1": "old_name"})
     flags = write_bundle(tmp_path, excerpt, pool)

@@ -182,6 +182,16 @@ def test_predictions_incomplete(pool3):
         PredictionSet(records, pool3)
 
 
+def test_predictions_incomplete_reports_count_and_first_gap(pool3):
+    records = [PredictionRecord("m1", i, "a", 0.5) for i in ("e1", "e2", "e3")]
+    records += [PredictionRecord("m2", "e3", "a", 0.5)]
+    with pytest.raises(ValidationError) as info:
+        PredictionSet(records, pool3)
+    assert str(info.value) == (
+        "incomplete predictions: 2 missing (model, instance) pairs, first ('m2', 'e1')"
+    )
+
+
 def test_predictions_duplicate_pair(pool3):
     records = [PredictionRecord("m1", "e1", "a", 0.5)] * 2
     with pytest.raises(ValidationError, match="duplicate prediction"):
