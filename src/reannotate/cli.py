@@ -154,6 +154,8 @@ def _schedule(args, pool_size: int) -> evaluate.BudgetSchedule:
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    # manifests are written last, so a run that fails leaves none behind
+    (out / "manifest.json").unlink(missing_ok=True)
     return out
 
 
@@ -202,9 +204,10 @@ def cmd_validate(args) -> int:
 def cmd_rank(args) -> int:
     hierarchy, pool, predictions, _, problems = _load_bundle(args)
     _abort_on_problems(problems)
+    kinds = _strategies(args)
     out = _out_dir(args)
     outputs = []
-    for kind in _strategies(args):
+    for kind in kinds:
         ranked = rank(pool, predictions, hierarchy, kind, seed=args.seed)
         name = f"ranked_{kind.value}.csv"
         ranked.write_csv(out / name)

@@ -250,7 +250,7 @@ def _iter_jsonl(path: Path) -> Iterator[tuple[int, dict]]:
             continue
         try:
             obj = json.loads(line)
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:  # incl. over-long ints
             raise ParseError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise ParseError(f"{path}:{lineno}: record is not an object")
@@ -352,7 +352,11 @@ def load_predictions(
                     f"{path}: mixes model ids {file_model!r} and {model!r}; "
                     f"one predictions file per model"
                 )
-            records.append(PredictionRecord(model, iid, label, float(conf)))
+            try:
+                conf = float(conf)
+            except OverflowError:
+                raise ValidationError(f"{where}: confidence out of [0, 1]") from None
+            records.append(PredictionRecord(model, iid, label, conf))
         if file_model is None:
             raise ValidationError(f"{path}: no prediction records")
     return PredictionSet(records, pool)
@@ -437,17 +441,15 @@ def validate_bundle(
     Returns one problem string per unresolvable label; an empty list means
     the bundle is consistent.
     """
-    problems = []
-    for label in hierarchy.validate_labels(pool.labels()):
-        problems.append(f"dataset label not in hierarchy: {label!r}")
-    if predictions is not None:
-        for label in hierarchy.validate_labels(predictions.labels()):
-            problems.append(f"predicted label not in hierarchy: {label!r}")
-    if gold is not None:
-        gold_labels = {rec.gold for rec in gold.records() if not rec.is_eliminated}
-        for label in hierarchy.validate_labels(gold_labels):
-            problems.append(f"gold label not in hierarchy: {label!r}")
-    if label_map is not None:
-        for label in hierarchy.validate_labels(set(label_map.values())):
-            problems.append(f"label map target not in hierarchy: {label!r}")
-    return problems
+    gold_records = gold.records() if gold is not None else ()
+    checks = [
+        ("dataset label", pool.labels()),
+        ("predicted label", predictions.labels() if predictions is not None else ()),
+        ("gold label", {rec.gold for rec in gold_records if not rec.is_eliminated}),
+        ("label map target", label_map.values() if label_map is not None else ()),
+    ]
+    return [
+        f"{kind} not in hierarchy: {label!r}"
+        for kind, labels in checks
+        for label in hierarchy.validate_labels(labels)
+    ]

@@ -8,6 +8,7 @@ assembled output is deterministic regardless of execution order.
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
@@ -235,21 +236,7 @@ def micro_f1(
     false positive; missing a non-negative label is a false negative.
     Every labeled instance needs a prediction; 0/0 ratios are reported as 0.
     """
-    tp = fp = fn = 0
-    for iid, gold in labels.items():
-        try:
-            pred = predictions[iid]
-        except KeyError:
-            raise ValidationError(f"no prediction for instance {iid!r}") from None
-        if pred == gold:
-            if pred != negative_label:
-                tp += 1
-        else:
-            if pred != negative_label:
-                fp += 1
-            if gold != negative_label:
-                fn += 1
-    return _scores_from_counts(tp, fp, fn)
+    return _scores_from_counts(*_confusion_counts(predictions, labels, negative_label))
 
 
 def _scores_from_counts(tp: int, fp: int, fn: int) -> MicroScores:
@@ -266,6 +253,23 @@ def _confusion_delta(pred: str, label: str, negative_label: str) -> tuple[int, i
     if pred == label:
         return (int(pred != negative_label), 0, 0)
     return (0, int(pred != negative_label), int(label != negative_label))
+
+
+def _confusion_counts(
+    predictions: Mapping[str, str], labels: Mapping[str, str], negative_label: str
+) -> list[int]:
+    """[tp, fp, fn] over every labeled instance, one delta per distinct pair."""
+    try:
+        pairs = Counter((predictions[iid], label) for iid, label in labels.items())
+    except KeyError as exc:
+        raise ValidationError(f"no prediction for instance {exc.args[0]!r}") from None
+    tp = fp = fn = 0
+    for (pred, label), n in pairs.items():
+        dtp, dfp, dfn = _confusion_delta(pred, label, negative_label)
+        tp += n * dtp
+        fp += n * dfp
+        fn += n * dfn
+    return [tp, fp, fn]
 
 
 def f1_curve(
@@ -285,33 +289,20 @@ def f1_curve(
     computed incrementally over the ascending schedule so a full sweep
     touches each instance once.
     """
-    instances = list(pool)
-    pool_ids = {inst.id for inst in instances}
-    if pool_ids != set(ranking.ids):
+    label_now = {inst.id: inst.label for inst in pool}
+    if label_now.keys() != set(ranking.ids):
         raise ValidationError("pool and ranking cover different instances")
     _check_budgets(schedule, len(ranking))
 
-    label_now = {inst.id: inst.label for inst in instances}
     pred_of = {
         m: {rec.instance_id: rec.label for rec in predictions.records_for_model(m)}
         for m in predictions.model_ids
     }
-    counts: dict[str, list[int]] = {}
-    for m, pred_map in pred_of.items():
-        tp = fp = fn = 0
-        for iid, label in label_now.items():
-            try:
-                dtp, dfp, dfn = _confusion_delta(pred_map[iid], label, negative_label)
-            except KeyError:
-                raise ValidationError(f"no prediction for instance {iid!r}") from None
-            tp += dtp
-            fp += dfp
-            fn += dfn
-        counts[m] = [tp, fp, fn]
-
-    per_model: dict[str, dict[str, list[CurvePoint]]] = {
-        m: {"precision": [], "recall": [], "f1": []} for m in predictions.model_ids
+    counts = {
+        m: _confusion_counts(pred_map, label_now, negative_label)
+        for m, pred_map in pred_of.items()
     }
+    per_model: dict[str, list[tuple[int, MicroScores]]] = {m: [] for m in pred_of}
     applied = 0
     for budget in schedule:
         for iid in ranking.ids[applied:budget]:
@@ -343,15 +334,12 @@ def f1_curve(
                     c[2] += dfn
         applied = budget
         for m in predictions.model_ids:
-            scores = _scores_from_counts(*counts[m])
-            per_model[m]["precision"].append(CurvePoint(budget, scores.precision))
-            per_model[m]["recall"].append(CurvePoint(budget, scores.recall))
-            per_model[m]["f1"].append(CurvePoint(budget, scores.f1))
+            per_model[m].append((budget, _scores_from_counts(*counts[m])))
 
     return [
-        CurveSeries(metric, m, tuple(per_model[m][metric]))
+        CurveSeries(metric, m, tuple(CurvePoint(b, s[i]) for b, s in per_model[m]))
         for m in predictions.model_ids
-        for metric in ("precision", "recall", "f1")
+        for i, metric in enumerate(MicroScores._fields)
     ]
 
 

@@ -176,7 +176,7 @@ def _read_json(path: Path) -> Any:
     """Parse a whole file as one JSON document; any decoding failure is a ParseError."""
     try:
         return json.loads(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, over-long ints
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
 
 

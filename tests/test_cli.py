@@ -135,6 +135,37 @@ def test_validate_rejects_model_read_twice(worked_bundle, capsys):
     assert "again.jsonl: model 'm1' was already read from" in err
 
 
+HUGE_INT = "7" * 5000  # past Python's 4300-digit int conversion limit
+
+
+@pytest.mark.parametrize("target", ["pool", "predictions", "gold", "hierarchy", "label_map"])
+def test_over_long_json_integer_exits_2(worked_bundle, capsys, target):
+    tmp_path, flags = worked_bundle
+    (tmp_path / "map.json").write_text(json.dumps({"per:parent": "per:parent"}))
+    files = {
+        "pool": "pool.jsonl", "predictions": "preds_m1.jsonl", "gold": "gold.jsonl",
+        "hierarchy": "hierarchy.json", "label_map": "map.json",
+    }
+    path = tmp_path / files[target]
+    path.write_text(path.read_text().replace("{", '{"big": ' + HUGE_INT + ", ", 1))
+    assert main(["validate", *flags, "--label-map", str(tmp_path / "map.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}") and "invalid JSON" in err
+    assert err.count("\n") == 1
+
+
+def test_integer_confidence_past_float_range_exits_1(worked_bundle, capsys):
+    tmp_path, flags = worked_bundle
+    path = tmp_path / "preds_m1.jsonl"
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[0])
+    record["confidence"] = 10**400
+    path.write_text("\n".join([json.dumps(record), *lines[1:]]) + "\n")
+    assert main(["validate", *flags]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {path}:1: confidence out of [0, 1]\n"
+
+
 def test_validate_applies_label_map(tmp_path, excerpt):
     pool = make_pool({"s1": "old_name"})
     flags = write_bundle(tmp_path, excerpt, pool)
@@ -200,6 +231,32 @@ def test_rank_does_not_mutate_inputs(worked_bundle):
     main(["rank", *flags, "--strategy", "gd", "--out", str(tmp_path / "out")])
     after = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
     assert before == after
+
+
+def test_failed_rerun_leaves_no_manifest(worked_bundle):
+    tmp_path, flags = worked_bundle
+    out = tmp_path / "o"
+    assert main(["rank", *flags, "--strategy", "gd", "--out", str(out)]) == 0
+    assert (out / "manifest.json").exists()
+    # random without --seed fails after ranked_gd.csv was rewritten
+    code = main([
+        "rank", *flags, "--strategy", "gd", "--strategy", "random", "--out", str(out),
+    ])
+    assert code == 1
+    assert (out / "ranked_gd.csv").exists()
+    assert not (out / "manifest.json").exists()
+
+
+def test_unwritable_output_leaves_no_manifest(worked_bundle, capsys):
+    tmp_path, flags = worked_bundle
+    out = tmp_path / "o"
+    run = ["rank", *flags, "--strategy", "gd", "--strategy", "ld", "--out", str(out)]
+    assert main(run) == 0
+    (out / "ranked_ld.csv").unlink()
+    (out / "ranked_ld.csv").mkdir()
+    assert main(run) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (out / "manifest.json").exists()
 
 
 # -- sweep ---------------------------------------------------------------

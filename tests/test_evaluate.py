@@ -239,8 +239,8 @@ def test_micro_f1_no_positives_anywhere():
 
 
 def test_micro_f1_missing_prediction():
-    with pytest.raises(ValidationError, match="no prediction"):
-        micro_f1({}, {"e1": "A"}, NEG)
+    with pytest.raises(ValidationError, match="no prediction for instance 'e2'"):
+        micro_f1({"e1": "A"}, {"e1": "A", "e2": "B"}, NEG)
 
 
 def test_micro_f1_matches_confusion_matrix_oracle():
@@ -364,6 +364,14 @@ def test_f1_curve_mismatched_ranking(six_case):
     ranking = ordered_ranking(["e1", "e2"])
     with pytest.raises(ValidationError, match="different instances"):
         f1_curve(preds, pool, ranking, gold, BudgetSchedule((0,)), NEG)
+
+
+def test_f1_curve_missing_prediction(six_case):
+    _, preds = six_case
+    pool = make_pool({"e1": "A", "e2": "A", "e3": "B", "e4": NEG, "e5": "B", "e7": "A"})
+    ranking = ordered_ranking(list(pool.ids()))
+    with pytest.raises(ValidationError, match="no prediction for instance 'e7'"):
+        f1_curve(preds, pool, ranking, make_gold(pool, {}), BudgetSchedule((0,)), NEG)
 
 
 # -- CSV ------------------------------------------------------------------
