@@ -39,7 +39,7 @@ def _add_input_flags(parser: argparse.ArgumentParser) -> None:
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--strategy", action="append", default=[], choices=_STRATEGY_NAMES,
-        help="strategy to run (repeatable)",
+        dest="strategies", help="strategy to run (repeatable)",
     )
     parser.add_argument("--seed", type=int, help="seed for the random strategy")
     parser.add_argument(
@@ -126,12 +126,9 @@ def _load_bundle(args, *, need_predictions: bool = False, need_gold: bool = Fals
 
 
 def _strategies(args) -> list[StrategyKind]:
-    if not args.strategy:
+    if not args.strategies:
         raise ValidationError("no strategy selected; pass --strategy at least once")
-    kinds = []
-    for name in dict.fromkeys(args.strategy):
-        kinds.append(StrategyKind.from_name(name))
-    return kinds
+    return [StrategyKind(name) for name in dict.fromkeys(args.strategies)]
 
 
 def _schedule(args, pool_size: int) -> evaluate.BudgetSchedule:
@@ -166,19 +163,14 @@ def _write_manifest(out: Path, command: str, config: dict, outputs: list[str]) -
     )
 
 
-def _common_config(args) -> dict:
-    return {
-        "hierarchy": args.hierarchy,
-        "dataset": args.dataset,
-        "format": args.format,
-        "predictions": list(args.predictions),
-        "gold": args.gold,
-        "label_map": args.label_map,
-        "strategies": list(args.strategy),
-        "seed": args.seed,
-        "budgets": args.budgets,
-        "negative_label": args.negative_label,
-    }
+_NOT_CONFIG = frozenset({"out", "command", "func"})  # output dir and argparse's own entries
+
+
+def _config(args, schedule: evaluate.BudgetSchedule | None = None) -> dict:
+    config = {key: value for key, value in vars(args).items() if key not in _NOT_CONFIG}
+    if schedule is not None:
+        config["resolved_budgets"] = list(schedule.budgets)
+    return config
 
 
 def _abort_on_problems(problems: list[str]) -> None:
@@ -212,7 +204,7 @@ def cmd_rank(args) -> int:
         name = f"ranked_{kind.value}.csv"
         ranked.write_csv(out / name)
         outputs.append(name)
-    _write_manifest(out, "rank", _common_config(args), outputs)
+    _write_manifest(out, "rank", _config(args), outputs)
     return 0
 
 
@@ -220,7 +212,7 @@ def cmd_sweep(args) -> int:
     hierarchy, pool, predictions, gold, problems = _load_bundle(args, need_gold=True)
     _abort_on_problems(problems)
     kinds = _strategies(args)
-    reference = StrategyKind.from_name(args.reference_strategy)
+    reference = StrategyKind(args.reference_strategy)
     schedule = _schedule(args, len(pool))
     out = _out_dir(args)
 
@@ -244,10 +236,7 @@ def cmd_sweep(args) -> int:
         evaluate.write_curves_csv([overlap], out / name)
         outputs.append(name)
 
-    config = _common_config(args)
-    config["reference_strategy"] = args.reference_strategy
-    config["resolved_budgets"] = list(schedule.budgets)
-    _write_manifest(out, "sweep", config, outputs)
+    _write_manifest(out, "sweep", _config(args, schedule), outputs)
     return 0
 
 
@@ -269,10 +258,7 @@ def cmd_f1curve(args) -> int:
         name = f"f1_{kind.value}.csv"
         evaluate.write_curves_csv(series, out / name)
         outputs.append(name)
-    config = _common_config(args)
-    config["keep_eliminated"] = args.keep_eliminated
-    config["resolved_budgets"] = list(schedule.budgets)
-    _write_manifest(out, "f1curve", config, outputs)
+    _write_manifest(out, "f1curve", _config(args, schedule), outputs)
     return 0
 
 
@@ -296,18 +282,7 @@ def cmd_synth(args) -> int:
         name = f"predictions_{model_id}.jsonl"
         corpus.write_predictions(bundle.predictions, model_id, out / name)
         outputs.append(name)
-    config = {
-        "seed": args.seed,
-        "pool_size": args.pool_size,
-        "models": args.models,
-        "noise_rate": args.noise_rate,
-        "eliminate_rate": args.eliminate_rate,
-        "flip_rate": args.flip_rate,
-        "groups": args.groups,
-        "subgroups": args.subgroups,
-        "labels": args.labels,
-    }
-    _write_manifest(out, "synth", config, outputs)
+    _write_manifest(out, "synth", _config(args), outputs)
     print(
         f"wrote {len(bundle.pool)} instances, {bundle.predictions.k} models, "
         f"{len(bundle.gold.noisy_ids)} noisy to {out}"

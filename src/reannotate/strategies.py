@@ -96,6 +96,13 @@ class RankedList:
     strategy: StrategyKind
     entries: tuple[ScoredInstance, ...]
 
+    def __post_init__(self) -> None:
+        seen: set[str] = set()
+        for iid in self.ids:
+            if iid in seen:
+                raise ValidationError(f"instance {iid!r} appears twice in the ranking")
+            seen.add(iid)
+
     @property
     def name(self) -> str:
         return self.strategy.value

@@ -124,8 +124,12 @@ def synth_corpus(
     """
     if size < 1 or models < 1:
         raise ValidationError("size and models must be positive")
-    if noise_rate < 0 or eliminate_rate < 0 or noise_rate + eliminate_rate > 1:
-        raise ValidationError("noise_rate + eliminate_rate must stay within [0, 1]")
+    rates = (noise_rate, eliminate_rate, flip_rate, noise_rate + eliminate_rate)
+    if not all(0 <= rate <= 1 for rate in rates):  # a NaN fails both comparisons
+        raise ValidationError(
+            "noise_rate, eliminate_rate, flip_rate and noise_rate + eliminate_rate "
+            "must each lie within [0, 1]"
+        )
     leaves = hierarchy.leaves()
     if len(leaves) < 2:
         raise ValidationError("hierarchy needs at least two leaf labels")

@@ -6,7 +6,7 @@ import pytest
 
 from helpers import make_gold, make_pool, make_predictions
 from reannotate import micro_f1, write_gold, write_pool, write_predictions
-from reannotate.cli import main
+from reannotate.cli import _build_parser, main
 from reannotate.hierarchy import dump_hierarchy
 from reannotate.synth import balanced_hierarchy, synth_corpus
 
@@ -461,6 +461,34 @@ def test_synth_then_full_pipeline(tmp_path):
     ])
     assert code == 0
     assert (out / "efficiency_random.csv").exists()
+
+
+@pytest.mark.parametrize("flag", [["--noise-rate", "nan"], ["--flip-rate", "5"]])
+def test_synth_rate_outside_unit_interval(tmp_path, capsys, flag):
+    out = tmp_path / "data"
+    assert main(["synth", "--out", str(out), "--pool-size", "10", *flag]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (out / "manifest.json").exists()
+
+
+def test_manifest_config_is_every_parsed_flag_but_out(worked_bundle):
+    tmp_path, flags = worked_bundle
+    commands = {
+        "rank": [*flags, "--strategy", "gd"],
+        "sweep": [*flags, "--strategy", "gd", "--budgets", "0,3"],
+        "f1curve": [*flags, "--strategy", "gd", "--budgets", "0,3"],
+        "synth": ["--pool-size", "10"],
+    }
+    subparsers = next(a for a in _build_parser()._actions if a.dest == "command").choices
+    for command, argv in commands.items():
+        out = tmp_path / command
+        assert main([command, *argv, "--out", str(out)]) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        dests = {a.dest for a in subparsers[command]._actions} - {"help", "out"}
+        if command in ("sweep", "f1curve"):
+            dests.add("resolved_budgets")
+        assert set(config) == dests
 
 
 def test_synth_deterministic(tmp_path):

@@ -374,6 +374,12 @@ def test_f1_curve_missing_prediction(six_case):
         f1_curve(preds, pool, ranking, make_gold(pool, {}), BudgetSchedule((0,)), NEG)
 
 
+def test_ranking_with_repeated_id_is_rejected():
+    # a repeated id would let a budget pass the pool size and efficiency exceed 1
+    with pytest.raises(ValidationError, match="instance 'e1' appears twice"):
+        ordered_ranking(["e1", "e1", "e2"])
+
+
 # -- CSV ------------------------------------------------------------------
 
 

@@ -4,27 +4,48 @@ Loader fuzz: whatever the bytes of an input file, a loader either returns
 or raises ParseError / ValidationError. Recount: f1_curve agrees at every
 budget with relabeling the pool from scratch and recounting through the
 confusion-matrix oracle in helpers, which shares no code with evaluate.
+Ranking: on random trees, every strategy orders the pool by (score
+descending, id ascending), with scores recomputed from the BFS and
+ancestor-set oracles in helpers; efficiency and Jaccard curves keep their
+bounds, endpoints, monotonicity and symmetry.
 """
 
 import json
+import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import make_gold, make_pool, make_predictions, oracle_micro_f1, ordered_ranking
+from helpers import (
+    adjacency,
+    ancestor_chain,
+    bfs_distance,
+    lca_by_ancestor_sets,
+    make_gold,
+    make_pool,
+    make_predictions,
+    oracle_micro_f1,
+    ordered_ranking,
+)
 from reannotate import (
     BudgetSchedule,
     ParseError,
+    StrategyKind,
     ValidationError,
     apply_reannotation,
+    efficiency_curve,
     f1_curve,
+    jaccard_curve,
     load_gold,
     load_hierarchy,
     load_label_map,
     load_pool,
     load_predictions,
+    rank,
 )
+from reannotate.synth import random_tree
 
 NEG = "no_relation"
 LABELS = ["A", "B", NEG]
@@ -189,3 +210,72 @@ def test_f1_curve_matches_recount(case, drop):
             got = tuple(by_key[(m, metric)].value_at(budget)
                         for metric in ("precision", "recall", "f1"))
             assert got == expected
+
+
+# -- ranking and curves -------------------------------------------------------
+
+
+@st.composite
+def ranking_cases(draw):
+    """A random_tree hierarchy, a pool labeled from it, K models and gold with noise."""
+    hierarchy = random_tree(random.Random(draw(st.integers(0, 2**32))), draw(st.integers(1, 12)))
+    nodes = st.sampled_from(hierarchy.names())
+    pool_labels = {f"e{i}": draw(nodes) for i in range(draw(st.integers(1, 12)))}
+    pool = make_pool(pool_labels)
+    confidences = st.floats(min_value=0, max_value=1)
+    preds = make_predictions(pool, {
+        f"m{j}": {iid: (draw(nodes), draw(confidences)) for iid in pool_labels}
+        for j in range(draw(st.integers(1, 3)))
+    })
+    relabels = draw(st.dictionaries(st.sampled_from(sorted(pool_labels)), nodes | st.none()))
+    gold = make_gold(pool, relabels)
+    assume(gold.noisy_ids)
+    return hierarchy, pool, preds, gold, draw(st.integers(0, 2**64 - 1))
+
+
+def oracle_scores(kind, hierarchy, pool, preds, seed):
+    """Each instance's score, from the helpers' oracles and the documented formulas."""
+    if kind is StrategyKind.RANDOM:  # one draw per instance, in sorted-id order
+        rng = random.Random(seed)
+        return {iid: Fraction(rng.random()) for iid in sorted(pool.ids())}
+    records = hierarchy.records()
+    adj, parents = adjacency(records), dict(records)
+    depth = lambda node: len(ancestor_chain(parents, node)) - 1
+    distance = {
+        StrategyKind.GD: lambda a, b: bfs_distance(adj, a, b),
+        StrategyKind.LD: lambda a, b: depth(a) - depth(lca_by_ancestor_sets(parents, a, b)),
+    }
+    scores = {}
+    for inst in pool:
+        found = [(rec.label, rec.confidence) for rec in preds.for_instance(inst.id)]
+        if kind is StrategyKind.CONFIDENCE:
+            disagreeing = [Fraction(conf) for label, conf in found if label != inst.label]
+            scores[inst.id] = sum(disagreeing) / len(disagreeing) if disagreeing else Fraction(0)
+        else:
+            total = sum(distance[kind](inst.label, label) for label, _ in found)
+            scores[inst.id] = Fraction(total, len(found))
+    return scores
+
+
+@SETTINGS
+@given(case=ranking_cases())
+def test_rank_and_curves_on_random_trees(case):
+    hierarchy, pool, preds, gold, seed = case
+    n = len(pool)
+    schedule = BudgetSchedule(tuple(range(n + 1)))
+    ranked = {kind: rank(pool, preds, hierarchy, kind, seed=seed) for kind in StrategyKind}
+    for kind, ranking in ranked.items():
+        scores = oracle_scores(kind, hierarchy, pool, preds, seed)
+        expected = sorted(scores, key=lambda iid: (-scores[iid], iid))
+        assert list(ranking.ids) == expected
+        assert [entry.score for entry in ranking.entries] == [scores[iid] for iid in expected]
+
+        efficiency = efficiency_curve(ranking, gold, schedule).values()
+        assert efficiency[0] == 0 and efficiency[-1] == 1
+        assert all(a <= b for a, b in zip(efficiency, efficiency[1:]))
+
+        for other in ranked.values():
+            overlap = jaccard_curve(ranking, other, schedule).values()
+            assert overlap == jaccard_curve(other, ranking, schedule).values()
+            assert overlap[0] == 1 and overlap[-1] == 1
+            assert all(0 <= value <= 1 for value in overlap)

@@ -112,6 +112,11 @@ def test_rate_validation():
         synth_corpus(h, rng, size=10, models=1, noise_rate=0.9, eliminate_rate=0.2)
     with pytest.raises(ValidationError):
         synth_corpus(h, rng, size=0, models=1)
+    nan = float("nan")
+    for rates in ({"flip_rate": 1.5}, {"flip_rate": -0.1}, {"flip_rate": nan},
+                  {"noise_rate": nan}, {"eliminate_rate": nan}, {"noise_rate": float("inf")}):
+        with pytest.raises(ValidationError, match=r"must each lie within \[0, 1\]"):
+            synth_corpus(h, rng, size=10, models=1, **rates)
 
 
 def test_bundle_round_trips_through_loaders(tmp_path):
