@@ -8,8 +8,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import ParseError, ValidationError
 from .hierarchy import LabelHierarchy, _read_json
@@ -91,8 +92,7 @@ class ReannotationPool:
         return {inst.label for inst in self._instances}
 
 
-@dataclass(frozen=True)
-class PredictionRecord:
+class PredictionRecord(NamedTuple):
     """One model's predicted label and confidence for one instance."""
 
     model_id: str
@@ -106,46 +106,45 @@ class PredictionSet:
 
     Every (model, instance) pair must be present exactly once; partial
     ensembles are a hard error because per-instance means over fewer
-    models silently change scores.
+    models silently change scores. Stored as one label column and one
+    confidence column per model, in pool order; records are built on access.
     """
 
     def __init__(self, records: Iterable[PredictionRecord], pool: ReannotationPool) -> None:
         position = pool._position
-        # one column per model, in pool order; a filled slot is a duplicate
-        columns: dict[str, list[PredictionRecord | None]] = {}
-        for rec in records:
-            if not 0.0 <= rec.confidence <= 1.0:
+        # per model, a label and a confidence column in pool order; a filled slot is a duplicate
+        columns: dict[str, tuple[list[str | None], list[float | None]]] = {}
+        for model, iid, label, conf in records:
+            if not 0.0 <= conf <= 1.0:
                 raise ValidationError(
-                    f"confidence {rec.confidence!r} out of [0, 1] "
-                    f"(model {rec.model_id!r}, instance {rec.instance_id!r})"
+                    f"confidence {conf!r} out of [0, 1] (model {model!r}, instance {iid!r})"
                 )
-            slot = position.get(rec.instance_id)
+            slot = position.get(iid)
             if slot is None:
                 raise ValidationError(
-                    f"prediction for unknown instance {rec.instance_id!r} "
-                    f"(model {rec.model_id!r})"
+                    f"prediction for unknown instance {iid!r} (model {model!r})"
                 )
-            column = columns.get(rec.model_id)
+            column = columns.get(model)
             if column is None:
-                column = columns[rec.model_id] = [None] * len(position)
-            if column[slot] is not None:
+                column = columns[model] = ([None] * len(position), [None] * len(position))
+            if column[1][slot] is not None:
                 raise ValidationError(
-                    f"duplicate prediction for model {rec.model_id!r}, "
-                    f"instance {rec.instance_id!r}"
+                    f"duplicate prediction for model {model!r}, instance {iid!r}"
                 )
-            column[slot] = rec
+            column[0][slot] = label
+            column[1][slot] = conf
         if not columns:
             raise ValidationError("no prediction records")
-        missing = sum(column.count(None) for column in columns.values())
+        missing = sum(confs.count(None) for _, confs in columns.values())
         if missing:
-            model, column = next((m, c) for m, c in columns.items() if None in c)
-            first = (model, pool.ids()[column.index(None)])
+            model, confs = next((m, c) for m, (_, c) in columns.items() if None in c)
+            first = (model, pool.ids()[confs.index(None)])
             raise ValidationError(
                 f"incomplete predictions: {missing} missing (model, instance) "
                 f"pairs, first {first}"
             )
-        self._position = position
-        self._columns = {m: tuple(column) for m, column in columns.items()}
+        self._slot = position
+        self._columns = {m: (tuple(lc), tuple(cc)) for m, (lc, cc) in columns.items()}
 
     @property
     def model_ids(self) -> tuple[str, ...]:
@@ -156,26 +155,46 @@ class PredictionSet:
         """Ensemble size."""
         return len(self._columns)
 
-    def record(self, model_id: str, instance_id: str) -> PredictionRecord:
-        return self._columns[model_id][self._position[instance_id]]
+    def columns(
+        self,
+    ) -> tuple[Mapping[str, int], tuple[tuple[tuple[str, ...], tuple[float, ...]], ...]]:
+        """The instance id -> slot map (read-only), and per model, in model
+        order, its label column and its confidence column, indexed by slot."""
+        return self._slot, tuple(self._columns.values())
 
-    def for_instance(self, instance_id: str) -> tuple[PredictionRecord, ...]:
-        """All models' records for one instance, in model order."""
-        slot = self._position.get(instance_id)
-        if slot is None:
-            raise ValidationError(f"no predictions for instance {instance_id!r}")
-        return tuple([column[slot] for column in self._columns.values()])
-
-    def records_for_model(self, model_id: str) -> tuple[PredictionRecord, ...]:
-        """One model's records, in pool order."""
+    def _column(self, model_id: str) -> tuple[tuple[str, ...], tuple[float, ...]]:
         try:
             return self._columns[model_id]
         except KeyError:
             raise ValidationError(f"unknown model {model_id!r}") from None
 
+    def _slot_of(self, instance_id: str) -> int:
+        slot = self._slot.get(instance_id)
+        if slot is None:
+            raise ValidationError(f"no predictions for instance {instance_id!r}")
+        return slot
+
+    def record(self, model_id: str, instance_id: str) -> PredictionRecord:
+        labels, confs = self._column(model_id)
+        slot = self._slot_of(instance_id)
+        return PredictionRecord(model_id, instance_id, labels[slot], confs[slot])
+
+    def for_instance(self, instance_id: str) -> tuple[PredictionRecord, ...]:
+        """All models' records for one instance, in model order."""
+        slot = self._slot_of(instance_id)
+        return tuple([
+            PredictionRecord(model, instance_id, labels[slot], confs[slot])
+            for model, (labels, confs) in self._columns.items()
+        ])
+
+    def records_for_model(self, model_id: str) -> tuple[PredictionRecord, ...]:
+        """One model's records, in pool order."""
+        labels, confs = self._column(model_id)
+        return tuple(map(PredictionRecord, repeat(model_id), self._slot, labels, confs))
+
     def labels(self) -> set[str]:
         """Distinct predicted labels across all models."""
-        return {rec.label for column in self._columns.values() for rec in column}
+        return set().union(*(labels for labels, _ in self._columns.values()))
 
 
 @dataclass(frozen=True)
@@ -245,13 +264,19 @@ def _iter_jsonl(path: Path) -> Iterator[tuple[int, dict]]:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not valid UTF-8: {exc}") from exc
+    decode = json.JSONDecoder().raw_decode
     for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
         try:
-            obj = json.loads(line)
-        except (ValueError, RecursionError) as exc:  # incl. over-long ints
-            raise ParseError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+            obj, end = decode(line)
+        except (ValueError, RecursionError):
+            end = -1
+        if end != len(line):  # blank, padded or invalid: json.loads decides and words errors
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except (ValueError, RecursionError) as exc:  # incl. over-long ints
+                raise ParseError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise ParseError(f"{path}:{lineno}: record is not an object")
         yield lineno, obj
@@ -325,7 +350,7 @@ def load_predictions(
     Each jsonl record carries model, id, label, and confidence; each file
     holds exactly one model, and no other file uses that model.
     """
-    records: list[PredictionRecord] = []
+    records: list[tuple[str, str, str, float]] = []
     read_from: dict[str, Path] = {}
     for source in sources:
         path = Path(source)
@@ -356,7 +381,7 @@ def load_predictions(
                 conf = float(conf)
             except OverflowError:
                 raise ValidationError(f"{where}: confidence out of [0, 1]") from None
-            records.append(PredictionRecord(model, iid, label, conf))
+            records.append((model, iid, label, conf))
         if file_model is None:
             raise ValidationError(f"{path}: no prediction records")
     return PredictionSet(records, pool)

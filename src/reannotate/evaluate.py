@@ -294,9 +294,9 @@ def f1_curve(
         raise ValidationError("pool and ranking cover different instances")
     _check_budgets(schedule, len(ranking))
 
+    slot, columns = predictions.columns()
     pred_of = {
-        m: {rec.instance_id: rec.label for rec in predictions.records_for_model(m)}
-        for m in predictions.model_ids
+        m: dict(zip(slot, labels)) for m, (labels, _) in zip(predictions.model_ids, columns)
     }
     counts = {
         m: _confusion_counts(pred_map, label_now, negative_label)

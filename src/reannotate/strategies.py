@@ -14,9 +14,9 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
-from typing import Callable
+from typing import Iterable
 
 from .corpus import Instance, PredictionSet, ReannotationPool
 from .errors import ValidationError
@@ -41,13 +41,47 @@ class StrategyKind(enum.Enum):
             raise ValidationError(f"unknown strategy {name!r}") from None
 
 
-def _mean_distance(
-    instance: Instance, predictions: PredictionSet, distance: Callable[[str, str], int]
+def _confidence_mean(
+    label: str, predicted: Iterable[str], confidences: Iterable[float]
 ) -> Fraction:
-    """Mean of ``distance(dataset label, prediction)`` over all K models' predictions."""
-    records = predictions.for_instance(instance.id)
-    total = sum(distance(instance.label, rec.label) for rec in records)
-    return Fraction(total, len(records))
+    """Exact mean confidence of the predictions that differ from ``label``; 0 if none do."""
+    ratios = [c.as_integer_ratio() for p, c in zip(predicted, confidences) if p != label]
+    if not ratios:
+        return Fraction(0)
+    denominator = math.lcm(*(d for _, d in ratios))  # the largest one, for floats
+    total = sum(n * (denominator // d) for n, d in ratios)
+    return Fraction(total, denominator * len(ratios))
+
+
+def _scores(
+    pool: Iterable[Instance],
+    predictions: PredictionSet,
+    hierarchy: LabelHierarchy | None,
+    kind: StrategyKind,
+) -> list[Fraction]:
+    """Each instance's GD, LD or CONFIDENCE score, in pool order.
+
+    Reads each instance's K predictions from the columns through the id ->
+    slot map. Both caches live for this call only: one hierarchy walk per
+    distinct (dataset label, prediction) pair, one Fraction per distinct total.
+    """
+    slot, columns = predictions.columns()
+    try:
+        slots = [slot[inst.id] for inst in pool]
+    except KeyError as exc:
+        raise ValidationError(f"no predictions for instance {exc.args[0]!r}") from None
+    rows = zip(*(map(labels.__getitem__, slots) for labels, _ in columns))
+    if kind is StrategyKind.CONFIDENCE:
+        confidences = zip(*(map(column.__getitem__, slots) for _, column in columns))
+        return [
+            _confidence_mean(inst.label, row, confs)
+            for inst, row, confs in zip(pool, rows, confidences)
+        ]
+    distance = cache(
+        hierarchy.tree_distance if kind is StrategyKind.GD else hierarchy.distance_to_lca
+    )
+    mean = cache(lambda total: Fraction(total, len(columns)))
+    return [mean(sum(distance(inst.label, p) for p in row)) for inst, row in zip(pool, rows)]
 
 
 def graph_distance_score(
@@ -58,14 +92,14 @@ def graph_distance_score(
     Models agreeing with the dataset label contribute 0; the mean runs over
     all K models.
     """
-    return _mean_distance(instance, predictions, hierarchy.tree_distance)
+    return _scores([instance], predictions, hierarchy, StrategyKind.GD)[0]
 
 
 def lca_distance_score(
     instance: Instance, predictions: PredictionSet, hierarchy: LabelHierarchy
 ) -> Fraction:
     """Mean distance from the dataset label up to its LCA with each model's prediction."""
-    return _mean_distance(instance, predictions, hierarchy.distance_to_lca)
+    return _scores([instance], predictions, hierarchy, StrategyKind.LD)[0]
 
 
 def confidence_score(instance: Instance, predictions: PredictionSet) -> Fraction:
@@ -74,13 +108,7 @@ def confidence_score(instance: Instance, predictions: PredictionSet) -> Fraction
     0 when every model agrees, so unanimously agreed instances rank last
     among scored ones.
     """
-    disagreeing = [
-        rec for rec in predictions.for_instance(instance.id) if rec.label != instance.label
-    ]
-    if not disagreeing:
-        return Fraction(0)
-    total = sum(Fraction(rec.confidence) for rec in disagreeing)
-    return total / len(disagreeing)
+    return _scores([instance], predictions, None, StrategyKind.CONFIDENCE)[0]
 
 
 @dataclass(frozen=True)
@@ -149,23 +177,20 @@ def rank(
     if kind is StrategyKind.RANDOM:
         if seed is None:
             raise ValidationError("random strategy requires a seed")
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise ValidationError(f"seed must be an integer, got {seed!r}")
         if not 0 <= seed < _MAX_SEED:
             raise ValidationError(f"seed {seed} outside [0, 2^64)")
         rng = random.Random(seed)
         draws = {iid: Fraction(rng.random()) for iid in sorted(pool.ids())}
-        score = lambda inst: draws[inst.id]
+        scores = [draws[inst.id] for inst in pool]
     elif predictions is None:
         raise ValidationError(f"{kind.value} strategy requires predictions")
-    elif kind is StrategyKind.CONFIDENCE:
-        score = lambda inst: confidence_score(inst, predictions)
-    elif hierarchy is None:
+    elif kind is not StrategyKind.CONFIDENCE and hierarchy is None:
         raise ValidationError(f"{kind.value} strategy requires a hierarchy")
     else:
-        distance = (
-            hierarchy.tree_distance if kind is StrategyKind.GD else hierarchy.distance_to_lca
-        )
-        score = lambda inst: _mean_distance(inst, predictions, distance)
-    entries = [ScoredInstance(inst.id, score(inst)) for inst in pool]
+        scores = _scores(pool, predictions, hierarchy, kind)
+    entries = [ScoredInstance(inst.id, score) for inst, score in zip(pool, scores)]
     scale = math.lcm(*{e.score.denominator for e in entries})  # score * scale is an exact int
     entries.sort(key=lambda entry: entry.instance_id)  # the stable sort below keeps ties so
     entries.sort(key=lambda e: e.score.numerator * (scale // e.score.denominator), reverse=True)

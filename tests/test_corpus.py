@@ -1,4 +1,6 @@
+import gc
 import json
+import random
 
 import pytest
 
@@ -23,6 +25,7 @@ from reannotate import (
     write_pool,
     write_predictions,
 )
+from reannotate.synth import balanced_hierarchy, synth_corpus
 
 
 def jsonl(path, records):
@@ -376,3 +379,48 @@ def test_predictions_lookup_errors(pool3):
         preds.for_instance("ghost")
     with pytest.raises(ValidationError, match="unknown model"):
         preds.records_for_model("m9")
+    with pytest.raises(ValidationError, match="unknown model 'm9'"):
+        preds.record("m9", "e1")
+    with pytest.raises(ValidationError, match="no predictions for instance 'ghost'"):
+        preds.record("m1", "ghost")
+
+
+def test_loaded_predictions_hold_few_tracked_objects(tmp_path):
+    # one label and one confidence column per model, not one object per record
+    bundle = synth_corpus(balanced_hierarchy(), random.Random(5), size=2000, models=5)
+    paths = []
+    for model in bundle.predictions.model_ids:
+        paths.append(tmp_path / f"{model}.jsonl")
+        write_predictions(bundle.predictions, model, paths[-1])
+    gc.collect()
+    before = len(gc.get_objects())
+    preds = load_predictions(paths, bundle.pool)
+    gc.collect()
+    assert len(gc.get_objects()) - before < len(bundle.pool)
+    assert preds.k == 5
+
+
+@pytest.mark.parametrize("padded", [
+    '  {"id": "e1", "relation": "a"}',
+    '{"id": "e1", "relation": "a"}   ',
+    '\t{"id": "e1", "relation": "a"}\t',
+])
+def test_load_pool_padded_lines(tmp_path, padded):
+    path = tmp_path / "p.jsonl"
+    path.write_text(padded + "\n \t \n" + '{"id": "e2", "relation": "b"}\n')
+    pool = load_pool(path)
+    assert pool.ids() == ("e1", "e2")
+    assert pool.label_of("e1") == "a"
+
+
+@pytest.mark.parametrize("line, message", [
+    ("{} {}", "Extra data"),
+    ("[" * 200000, "invalid JSON"),
+    ('{"id": ' + "7" * 5000 + "}", "invalid JSON"),
+])
+def test_load_pool_bad_json_line_names_path_and_line(tmp_path, line, message):
+    path = tmp_path / "p.jsonl"
+    path.write_text('{"id": "e1", "relation": "a"}\n\n' + line + "\n")
+    with pytest.raises(ParseError, match=message) as info:
+        load_pool(path)
+    assert str(info.value).startswith(f"{path}:3: invalid JSON: ")

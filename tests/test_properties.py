@@ -105,8 +105,12 @@ node_record = _record(
 raw_line = st.text(max_size=20).filter(lambda t: "\n" not in t and "\r" not in t)
 
 
+padding = st.sampled_from(["", " ", "\t", " \t  "])
+
+
 def jsonl(records):
-    return st.lists(st.one_of(records, json_text, raw_line), max_size=5).map("\n".join)
+    line = st.tuples(padding, st.one_of(records, json_text, raw_line), padding).map("".join)
+    return st.lists(line, max_size=5).map("\n".join)
 
 
 hierarchy_doc = st.one_of(

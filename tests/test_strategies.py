@@ -119,6 +119,39 @@ def test_rank_seed_range():
         rank(pool, None, None, StrategyKind.RANDOM, seed=2**64)
 
 
+@pytest.mark.parametrize("seed", [True, 1.5])
+def test_rank_seed_must_be_an_int(seed):
+    pool = make_pool({"e1": "a"})
+    with pytest.raises(ValidationError, match="seed must be an integer"):
+        rank(pool, None, None, StrategyKind.RANDOM, seed=seed)
+
+
+@pytest.mark.parametrize("kind", [StrategyKind.GD, StrategyKind.LD, StrategyKind.CONFIDENCE])
+def test_rank_pool_not_covered_by_predictions(excerpt, worked_pool, kind):
+    pool, preds = worked_pool
+    bigger = make_pool({iid: "per:parent" for iid in ("s1", "s2", "s3", "e3")})
+    with pytest.raises(ValidationError, match="no predictions for instance 'e3'"):
+        rank(bigger, preds, excerpt, kind)
+
+
+@pytest.mark.parametrize("kind", [StrategyKind.GD, StrategyKind.LD, StrategyKind.CONFIDENCE])
+def test_rank_reordered_pool_keeps_each_score(excerpt, kind):
+    labels = {"s1": "per:parent", "s2": "per:age", "s3": "per:parent"}
+    pool = make_pool(labels)
+    preds = make_predictions(
+        pool,
+        {
+            "m1": {"s1": ("per:age", 0.5), "s2": ("per:parent", 0.25), "s3": ("per:parent", 0.9)},
+            "m2": {"s1": ("per:age", 0.75), "s2": ("per:age", 0.1), "s3": ("per:parent", 0.6)},
+        },
+    )
+    reordered = make_pool({iid: labels[iid] for iid in ("s3", "s1", "s2")})
+    in_order = {e.instance_id: e.score for e in rank(pool, preds, excerpt, kind).entries}
+    shuffled = {e.instance_id: e.score for e in rank(reordered, preds, excerpt, kind).entries}
+    assert shuffled == in_order
+    assert len(set(in_order.values())) == 3
+
+
 def test_rank_requires_predictions():
     pool = make_pool({"e1": "a"})
     with pytest.raises(ValidationError, match="predictions"):
