@@ -47,7 +47,6 @@ from .hierarchy import (
 )
 from .strategies import (
     RankedList,
-    ScoredInstance,
     StrategyKind,
     confidence_score,
     graph_distance_score,
@@ -74,7 +73,6 @@ __all__ = [
     "ReannotateError",
     "ReannotationPool",
     "RelabeledPool",
-    "ScoredInstance",
     "StrategyKind",
     "UnknownLabelError",
     "ValidationError",

@@ -16,7 +16,7 @@ from pathlib import Path
 from . import corpus, evaluate, synth
 from .errors import ParseError, ValidationError
 from .hierarchy import dump_hierarchy, load_hierarchy
-from .strategies import StrategyKind, rank
+from .strategies import StrategyKind, _check_seed, rank
 
 _STRATEGY_NAMES = [kind.value for kind in StrategyKind]
 
@@ -245,6 +245,8 @@ def cmd_f1curve(args) -> int:
         args, need_predictions=True, need_gold=True
     )
     _abort_on_problems(problems)
+    if args.negative_label not in hierarchy:
+        raise ValidationError(f"negative label {args.negative_label!r} is not a hierarchy node")
     kinds = _strategies(args)
     schedule = _schedule(args, len(pool))
     out = _out_dir(args)
@@ -263,6 +265,7 @@ def cmd_f1curve(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    _check_seed(args.seed)
     rng = random.Random(args.seed)
     hierarchy = synth.balanced_hierarchy(args.groups, args.subgroups, args.labels)
     bundle = synth.synth_corpus(

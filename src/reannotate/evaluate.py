@@ -115,7 +115,7 @@ def jaccard_curve(a: RankedList, b: RankedList, schedule: BudgetSchedule) -> Cur
     Defined as 1 at B = 0 (two empty selections); the series is labeled
     with `a`'s strategy name.
     """
-    if sorted(a.ids) != sorted(b.ids):
+    if set(a.ids) != set(b.ids):
         raise ValidationError("rankings cover different pools")
     _check_budgets(schedule, len(a))
     seen_a: set[str] = set()

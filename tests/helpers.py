@@ -6,8 +6,6 @@ enumeration, independently of the package's depth-walk query path.
 
 from collections import deque
 
-from fractions import Fraction
-
 from reannotate import (
     ELIMINATED,
     GoldRecord,
@@ -18,7 +16,6 @@ from reannotate import (
     PredictionSet,
     RankedList,
     ReannotationPool,
-    ScoredInstance,
     StrategyKind,
 )
 
@@ -134,7 +131,4 @@ def make_gold(pool, relabels):
 
 def ordered_ranking(ids, kind=StrategyKind.GD):
     """A RankedList with the given order (fabricated strictly descending scores)."""
-    entries = tuple(
-        ScoredInstance(iid, Fraction(len(ids) - i)) for i, iid in enumerate(ids)
-    )
-    return RankedList(kind, entries)
+    return RankedList(kind, tuple(ids), tuple(range(len(ids), 0, -1)), 1)

@@ -353,6 +353,17 @@ def test_f1curve_outputs(worked_bundle):
     assert {row["series"] for row in rows} == {"m1", "m2"}
 
 
+def test_f1curve_negative_label_outside_hierarchy(worked_bundle, capsys):
+    # a label no instance can carry would give every class F1 credit without a word
+    tmp_path, flags = worked_bundle
+    out = tmp_path / "f1"
+    argv = ["f1curve", *flags, "--strategy", "gd", "--negative-label", "nope", "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "error: negative label 'nope' is not a hierarchy node\n"
+    assert not (out / "manifest.json").exists()
+
+
 def test_f1curve_budget_zero_matches_direct_micro(worked_bundle):
     tmp_path, flags = worked_bundle
     out = tmp_path / "f1"
@@ -469,6 +480,16 @@ def test_synth_rate_outside_unit_interval(tmp_path, capsys, flag):
     assert main(["synth", "--out", str(out), "--pool-size", "10", *flag]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_synth_seed_outside_range(tmp_path, capsys, seed):
+    # random.Random takes a negative seed's absolute value: -1 would repeat seed 1
+    out = tmp_path / "data"
+    assert main(["synth", "--out", str(out), "--pool-size", "10", "--seed", seed]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: seed {seed} outside [0, 2^64)\n"
     assert not (out / "manifest.json").exists()
 
 

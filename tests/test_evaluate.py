@@ -8,6 +8,7 @@ from reannotate import (
     BudgetSchedule,
     CurvePoint,
     CurveSeries,
+    RankedList,
     StrategyKind,
     ValidationError,
     apply_reannotation,
@@ -378,6 +379,20 @@ def test_ranking_with_repeated_id_is_rejected():
     # a repeated id would let a budget pass the pool size and efficiency exceed 1
     with pytest.raises(ValidationError, match="instance 'e1' appears twice"):
         ordered_ranking(["e1", "e1", "e2"])
+
+
+@pytest.mark.parametrize("keys", [(2,), (3, 2, 1)])
+def test_ranking_with_keys_of_another_length_is_rejected(keys):
+    # write_csv zips ids with keys, so a short column would drop rows silently
+    with pytest.raises(ValidationError, match=f"{len(keys)} scores for 2 instances"):
+        RankedList(StrategyKind.GD, ("e1", "e2"), keys, 1)
+
+
+@pytest.mark.parametrize("denominator", [0, -1])
+def test_ranking_with_non_positive_denominator_is_rejected(denominator):
+    # write_csv divides by it: 0 was a ZeroDivisionError, -1 a flipped order
+    with pytest.raises(ValidationError, match=f"score denominator {denominator} is not positive"):
+        RankedList(StrategyKind.GD, ("e1", "e2"), (2, 1), denominator)
 
 
 # -- CSV ------------------------------------------------------------------

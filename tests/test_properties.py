@@ -272,7 +272,9 @@ def test_rank_and_curves_on_random_trees(case):
         scores = oracle_scores(kind, hierarchy, pool, preds, seed)
         expected = sorted(scores, key=lambda iid: (-scores[iid], iid))
         assert list(ranking.ids) == expected
-        assert [entry.score for entry in ranking.entries] == [scores[iid] for iid in expected]
+        assert [Fraction(k, ranking.denominator) for k in ranking.keys] == [
+            scores[iid] for iid in expected
+        ]
 
         efficiency = efficiency_curve(ranking, gold, schedule).values()
         assert efficiency[0] == 0 and efficiency[-1] == 1

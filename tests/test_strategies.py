@@ -77,7 +77,7 @@ def test_rank_descending_scores(excerpt, worked_pool):
     ranked = rank(pool, preds, excerpt, StrategyKind.GD)
     assert ranked.ids == ("s1", "s2", "s3")
     assert ranked.name == "gd"
-    assert [float(e.score) for e in ranked.entries] == [5.0, 2.5, 0.0]
+    assert [Fraction(k, ranked.denominator) for k in ranked.keys] == [5, Fraction(5, 2), 0]
 
 
 def test_rank_ties_break_by_ascending_id(excerpt):
@@ -146,8 +146,10 @@ def test_rank_reordered_pool_keeps_each_score(excerpt, kind):
         },
     )
     reordered = make_pool({iid: labels[iid] for iid in ("s3", "s1", "s2")})
-    in_order = {e.instance_id: e.score for e in rank(pool, preds, excerpt, kind).entries}
-    shuffled = {e.instance_id: e.score for e in rank(reordered, preds, excerpt, kind).entries}
+    in_order, shuffled = (
+        {iid: Fraction(k, r.denominator) for iid, k in zip(r.ids, r.keys)}
+        for r in (rank(pool, preds, excerpt, kind), rank(reordered, preds, excerpt, kind))
+    )
     assert shuffled == in_order
     assert len(set(in_order.values())) == 3
 
@@ -259,19 +261,19 @@ def test_rank_is_permutation_for_all_strategies():
             assert len(set(ranked.ids)) == len(ranked.ids)
 
 
-def _bruteforce_top(entries, budget):
-    """Repeated max-extraction with the (score desc, id asc) comparator."""
-    remaining = list(entries)
+def _bruteforce_top(scores, budget):
+    """Repeated max-extraction with the (score desc, id asc) comparator over {id: score}."""
+    remaining = dict(scores)
     chosen = []
     for _ in range(budget):
-        best = remaining[0]
-        for entry in remaining[1:]:
-            if entry.score > best.score or (
-                entry.score == best.score and entry.instance_id < best.instance_id
+        best = None
+        for iid, score in remaining.items():
+            if best is None or score > remaining[best] or (
+                score == remaining[best] and iid < best
             ):
-                best = entry
-        chosen.append(best.instance_id)
-        remaining.remove(best)
+                best = iid
+        chosen.append(best)
+        del remaining[best]
     return chosen
 
 
@@ -288,8 +290,9 @@ def test_top_budget_matches_bruteforce_selection(excerpt):
     )
     for kind in (StrategyKind.GD, StrategyKind.LD, StrategyKind.CONFIDENCE):
         ranked = rank(pool, preds, excerpt, kind)
+        scores = {iid: Fraction(k, ranked.denominator) for iid, k in zip(ranked.ids, ranked.keys)}
         for budget in (0, 1, 5, 20):
-            assert list(ranked.top(budget)) == _bruteforce_top(ranked.entries, budget)
+            assert list(ranked.top(budget)) == _bruteforce_top(scores, budget)
 
 
 def test_scores_nonnegative_on_random_trees():
