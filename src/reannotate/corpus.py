@@ -10,7 +10,7 @@ import json
 from dataclasses import dataclass, field, replace
 from itertools import repeat
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping, NamedTuple
+from typing import Any, Iterable, Iterator, KeysView, Mapping, NamedTuple
 
 from .errors import ParseError, ValidationError
 from .hierarchy import LabelHierarchy, _read_json
@@ -228,7 +228,7 @@ class GoldSet:
                 raise ValidationError(f"empty gold label for {rec.instance_id!r}")
             by_id[rec.instance_id] = rec
         self._by_id = by_id
-        self._pool_ids = frozenset(pool.ids())
+        self._pool_ids = pool._position.keys()
         self._noisy = frozenset(
             iid
             for iid, rec in by_id.items()
@@ -241,7 +241,7 @@ class GoldSet:
         return self._noisy
 
     @property
-    def pool_ids(self) -> frozenset[str]:
+    def pool_ids(self) -> KeysView[str]:
         return self._pool_ids
 
     def __len__(self) -> int:
@@ -258,14 +258,19 @@ class GoldSet:
 # -- file loading --------------------------------------------------------
 
 
-def _iter_jsonl(path: Path) -> Iterator[tuple[int, dict]]:
-    """Yield (line_number, record) for each non-blank line; records must be objects."""
+def _iter_jsonl(path: Path) -> Iterator[tuple[str, dict]]:
+    r"""Yield ("path:line", record) per non-blank line; records must be objects.
+
+    Only "\n" ends a line (read_text maps "\r\n" and "\r" to it), so U+2028, U+2029
+    and U+0085 may stand in strings. Read whole, so no handle outlives a caller that stops.
+    """
     try:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not valid UTF-8: {exc}") from exc
     decode = json.JSONDecoder().raw_decode
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        where = f"{path}:{lineno}"
         try:
             obj, end = decode(line)
         except (ValueError, RecursionError):
@@ -276,10 +281,10 @@ def _iter_jsonl(path: Path) -> Iterator[tuple[int, dict]]:
             try:
                 obj = json.loads(line)
             except (ValueError, RecursionError) as exc:  # incl. over-long ints
-                raise ParseError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+                raise ParseError(f"{where}: invalid JSON: {exc}") from exc
         if not isinstance(obj, dict):
-            raise ParseError(f"{path}:{lineno}: record is not an object")
-        yield lineno, obj
+            raise ParseError(f"{where}: record is not an object")
+        yield where, obj
 
 
 def _require_str(obj: dict, key: str, where: str) -> str:
@@ -313,10 +318,7 @@ def load_pool(source: str | Path, format: str = "jsonl") -> ReannotationPool:
     """
     path = Path(source)
     if format == "jsonl":
-        instances = [
-            _instance_from_record(obj, f"{path}:{lineno}")
-            for lineno, obj in _iter_jsonl(path)
-        ]
+        instances = (_instance_from_record(obj, where) for where, obj in _iter_jsonl(path))
     elif format == "tacred":
         doc = _read_json(path)
         if not isinstance(doc, list):
@@ -342,21 +344,12 @@ def write_pool(pool: ReannotationPool, target: str | Path) -> None:
             fh.write(json.dumps(obj) + "\n")
 
 
-def load_predictions(
-    sources: Iterable[str | Path], pool: ReannotationPool
-) -> PredictionSet:
-    """Load one predictions file per model into a rectangular PredictionSet.
-
-    Each jsonl record carries model, id, label, and confidence; each file
-    holds exactly one model, and no other file uses that model.
-    """
-    records: list[tuple[str, str, str, float]] = []
+def _iter_predictions(sources: Iterable[str | Path]) -> Iterator[tuple[str, str, str, float]]:
     read_from: dict[str, Path] = {}
     for source in sources:
         path = Path(source)
         file_model: str | None = None
-        for lineno, obj in _iter_jsonl(path):
-            where = f"{path}:{lineno}"
+        for where, obj in _iter_jsonl(path):
             model = _require_str(obj, "model", where)
             iid = _require_str(obj, "id", where)
             label = _require_str(obj, "label", where)
@@ -381,10 +374,21 @@ def load_predictions(
                 conf = float(conf)
             except OverflowError:
                 raise ValidationError(f"{where}: confidence out of [0, 1]") from None
-            records.append((model, iid, label, conf))
+            yield model, iid, label, conf
         if file_model is None:
             raise ValidationError(f"{path}: no prediction records")
-    return PredictionSet(records, pool)
+
+
+def load_predictions(
+    sources: Iterable[str | Path], pool: ReannotationPool
+) -> PredictionSet:
+    """Load one predictions file per model into a rectangular PredictionSet.
+
+    Each jsonl record carries model, id, label, and confidence; each file
+    holds exactly one model, and no other file uses that model. Records go
+    to the set as they are read, so the first defective one decides the error.
+    """
+    return PredictionSet(_iter_predictions(sources), pool)
 
 
 def write_predictions(
@@ -402,23 +406,20 @@ def write_predictions(
             fh.write(json.dumps(obj) + "\n")
 
 
+def _gold_from_record(obj: dict, where: str) -> GoldRecord:
+    iid = _require_str(obj, "id", where)
+    if "gold" not in obj:
+        raise ParseError(f"{where}: missing field 'gold'")
+    gold = obj["gold"]
+    if gold is not None and not isinstance(gold, str):
+        raise ParseError(f"{where}: field 'gold' must be a string or null")
+    return GoldRecord(iid, ELIMINATED if gold is None else gold)
+
+
 def load_gold(source: str | Path, pool: ReannotationPool) -> GoldSet:
     """Load gold relabels: jsonl records with fields id and gold (null = eliminated)."""
     path = Path(source)
-    records: list[GoldRecord] = []
-    for lineno, obj in _iter_jsonl(path):
-        where = f"{path}:{lineno}"
-        iid = _require_str(obj, "id", where)
-        if "gold" not in obj:
-            raise ParseError(f"{where}: missing field 'gold'")
-        gold = obj["gold"]
-        if gold is None:
-            records.append(GoldRecord(iid, ELIMINATED))
-        elif isinstance(gold, str):
-            records.append(GoldRecord(iid, gold))
-        else:
-            raise ParseError(f"{where}: field 'gold' must be a string or null")
-    return GoldSet(records, pool)
+    return GoldSet((_gold_from_record(obj, where) for where, obj in _iter_jsonl(path)), pool)
 
 
 def write_gold(gold: GoldSet, target: str | Path) -> None:

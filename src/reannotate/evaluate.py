@@ -236,7 +236,8 @@ def micro_f1(
     false positive; missing a non-negative label is a false negative.
     Every labeled instance needs a prediction; 0/0 ratios are reported as 0.
     """
-    return _scores_from_counts(*_confusion_counts(predictions, labels, negative_label))
+    pairs = ((predictions[iid], label) for iid, label in labels.items())
+    return _scores_from_counts(*_confusion_counts(pairs, negative_label))
 
 
 def _scores_from_counts(tp: int, fp: int, fn: int) -> MicroScores:
@@ -255,16 +256,14 @@ def _confusion_delta(pred: str, label: str, negative_label: str) -> tuple[int, i
     return (0, int(pred != negative_label), int(label != negative_label))
 
 
-def _confusion_counts(
-    predictions: Mapping[str, str], labels: Mapping[str, str], negative_label: str
-) -> list[int]:
-    """[tp, fp, fn] over every labeled instance, one delta per distinct pair."""
+def _confusion_counts(pairs: Iterable[tuple[str, str]], negative_label: str) -> list[int]:
+    """[tp, fp, fn] over (prediction, label) pairs, one delta per distinct pair."""
     try:
-        pairs = Counter((predictions[iid], label) for iid, label in labels.items())
+        counted = Counter(pairs)
     except KeyError as exc:
         raise ValidationError(f"no prediction for instance {exc.args[0]!r}") from None
     tp = fp = fn = 0
-    for (pred, label), n in pairs.items():
+    for (pred, label), n in counted.items():
         dtp, dfp, dfn = _confusion_delta(pred, label, negative_label)
         tp += n * dtp
         fp += n * dfp
@@ -295,14 +294,13 @@ def f1_curve(
     _check_budgets(schedule, len(ranking))
 
     slot, columns = predictions.columns()
-    pred_of = {
-        m: dict(zip(slot, labels)) for m, (labels, _) in zip(predictions.model_ids, columns)
-    }
-    counts = {
-        m: _confusion_counts(pred_map, label_now, negative_label)
-        for m, pred_map in pred_of.items()
-    }
-    per_model: dict[str, list[tuple[int, MicroScores]]] = {m: [] for m in pred_of}
+    counts = [
+        _confusion_counts(
+            ((labels[slot[iid]], label) for iid, label in label_now.items()), negative_label
+        )
+        for labels, _ in columns
+    ]
+    per_model: list[list[tuple[int, MicroScores]]] = [[] for _ in columns]
     applied = 0
     for budget in schedule:
         for iid in ranking.ids[applied:budget]:
@@ -320,10 +318,10 @@ def f1_curve(
                     continue
                 new = record.gold
                 label_now[iid] = new
-            for m, pred_map in pred_of.items():
-                pred = pred_map[iid]
+            at = slot[iid]
+            for (labels, _), c in zip(columns, counts):
+                pred = labels[at]
                 dtp, dfp, dfn = _confusion_delta(pred, old, negative_label)
-                c = counts[m]
                 c[0] -= dtp
                 c[1] -= dfp
                 c[2] -= dfn
@@ -333,12 +331,12 @@ def f1_curve(
                     c[1] += dfp
                     c[2] += dfn
         applied = budget
-        for m in predictions.model_ids:
-            per_model[m].append((budget, _scores_from_counts(*counts[m])))
+        for points, c in zip(per_model, counts):
+            points.append((budget, _scores_from_counts(*c)))
 
     return [
-        CurveSeries(metric, m, tuple(CurvePoint(b, s[i]) for b, s in per_model[m]))
-        for m in predictions.model_ids
+        CurveSeries(metric, m, tuple(CurvePoint(b, s[i]) for b, s in points))
+        for m, points in zip(predictions.model_ids, per_model)
         for i, metric in enumerate(MicroScores._fields)
     ]
 

@@ -128,7 +128,8 @@ def confidence_score(instance: Instance, predictions: PredictionSet) -> Fraction
 class RankedList:
     """A strategy's permutation of the pool; the top-B prefix is the selection at budget B.
 
-    The score of ``ids[i]`` is exactly ``keys[i] / denominator``.
+    The score of ``ids[i]`` is exactly ``keys[i] / denominator``. Scores never
+    increase down the list, and ties are in ascending id order.
     """
 
     strategy: StrategyKind
@@ -146,6 +147,13 @@ class RankedList:
             if iid in seen:
                 raise ValidationError(f"instance {iid!r} appears twice in the ranking")
             seen.add(iid)
+        pairs = zip(self.keys, self.keys[1:], self.ids, self.ids[1:])
+        for position, (key, next_key, iid, next_iid) in enumerate(pairs, start=2):
+            if next_key > key or (next_key == key and next_iid < iid):
+                raise ValidationError(
+                    f"ranking out of order at rank {position} ({next_iid!r}): scores must "
+                    f"not increase and ties must be in ascending id order"
+                )
 
     @property
     def name(self) -> str:

@@ -135,6 +135,40 @@ def test_validate_rejects_model_read_twice(worked_bundle, capsys):
     assert "again.jsonl: model 'm1' was already read from" in err
 
 
+UNKNOWN_PREDICTION = '{"model": "m1", "id": "nope", "label": "g0s0x0", "confidence": 0.5}'
+
+
+@pytest.mark.parametrize("edits, message", [
+    (
+        [("predictions_m1.jsonl", 1, UNKNOWN_PREDICTION), ("predictions_m2.jsonl", 4, "{not json")],
+        "prediction for unknown instance 'nope' (model 'm1')",
+    ),
+    (
+        [("gold.jsonl", 1, '{"id": "nope", "gold": null}'), ("gold.jsonl", 2, "{bad")],
+        "gold record for unknown instance 'nope'",
+    ),
+], ids=["predictions", "gold"])
+def test_first_defective_record_in_read_order_decides(tmp_path, capsys, edits, message):
+    # records stream into their container, so a bad id read first beats a parse error read later
+    argv = ["synth", "--out", str(tmp_path), "--seed", "1", "--pool-size", "20", "--models", "2"]
+    assert main(argv) == 0
+    for name, lineno, text in edits:
+        path = tmp_path / name
+        lines = path.read_text().split("\n")
+        lines[lineno - 1] = text
+        path.write_text("\n".join(lines))
+    capsys.readouterr()
+    flags = [
+        "--hierarchy", str(tmp_path / "hierarchy.json"),
+        "--dataset", str(tmp_path / "pool.jsonl"),
+        "--predictions", str(tmp_path / "predictions_m1.jsonl"),
+        "--predictions", str(tmp_path / "predictions_m2.jsonl"),
+        "--gold", str(tmp_path / "gold.jsonl"),
+    ]
+    assert main(["validate", *flags]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 HUGE_INT = "7" * 5000  # past Python's 4300-digit int conversion limit
 
 

@@ -1,6 +1,7 @@
 import gc
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -25,6 +26,7 @@ from reannotate import (
     write_pool,
     write_predictions,
 )
+from reannotate.cli import main
 from reannotate.synth import balanced_hierarchy, synth_corpus
 
 
@@ -400,6 +402,51 @@ def test_loaded_predictions_hold_few_tracked_objects(tmp_path):
     assert preds.k == 5
 
 
+def test_loading_predictions_peaks_under_twice_what_the_set_keeps(tmp_path):
+    # records stream from each file into the columns; no N x K record list sits beside them
+    assert main(["synth", "--out", str(tmp_path), "--seed", "7", "--pool-size", "2000"]) == 0
+    pool = load_pool(tmp_path / "pool.jsonl")
+    paths = sorted(tmp_path.glob("predictions_*.jsonl"))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        preds = load_predictions(paths, pool)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert preds.k == 5
+    assert peak - base < 2 * (kept - base)
+
+
+def test_loaders_keep_unicode_line_breaks_inside_strings(tmp_path):
+    # str.splitlines() also breaks at these; json.dumps(ensure_ascii=False) writes them raw
+    breaks = ["\u2028", "\u2029", "\x85"]
+    ids = [f"e{c}{i}" for i, c in enumerate(breaks)]
+
+    def write(name, records):
+        text = "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records)
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        return tmp_path / name
+
+    pool = load_pool(write("pool.jsonl", [
+        {"id": iid, "relation": "a", "text": f"x{c}y"} for iid, c in zip(ids, breaks)
+    ]))
+    assert pool.ids() == tuple(ids)
+    assert [inst.metadata for inst in pool] == [{"text": f"x{c}y"} for c in breaks]
+    preds = load_predictions([write("m.jsonl", [
+        {"model": "m", "id": iid, "label": f"b{c}", "confidence": 0.5}
+        for iid, c in zip(ids, breaks)
+    ])], pool)
+    assert [rec.label for rec in preds.records_for_model("m")] == [f"b{c}" for c in breaks]
+    gold = load_gold(write("gold.jsonl", [
+        {"id": iid, "gold": f"g{c}"} for iid, c in zip(ids, breaks)
+    ]), pool)
+    assert [(rec.instance_id, rec.gold) for rec in gold.records()] == [
+        (iid, f"g{c}") for iid, c in zip(ids, breaks)
+    ]
+
+
 @pytest.mark.parametrize("padded", [
     '  {"id": "e1", "relation": "a"}',
     '{"id": "e1", "relation": "a"}   ',
@@ -422,5 +469,15 @@ def test_load_pool_bad_json_line_names_path_and_line(tmp_path, line, message):
     path = tmp_path / "p.jsonl"
     path.write_text('{"id": "e1", "relation": "a"}\n\n' + line + "\n")
     with pytest.raises(ParseError, match=message) as info:
+        load_pool(path)
+    assert str(info.value).startswith(f"{path}:3: invalid JSON: ")
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_jsonl_line_numbers_hold_for_crlf_and_cr(tmp_path, newline):
+    # only "\n" ends a record, and reading turns "\r\n" and "\r" into it first
+    path = tmp_path / "p.jsonl"
+    path.write_text('{"id": "e1", "relation": "a"}\n\n{bad\n', newline=newline)
+    with pytest.raises(ParseError) as info:
         load_pool(path)
     assert str(info.value).startswith(f"{path}:3: invalid JSON: ")

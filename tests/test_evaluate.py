@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -393,6 +394,16 @@ def test_ranking_with_non_positive_denominator_is_rejected(denominator):
     # write_csv divides by it: 0 was a ZeroDivisionError, -1 a flipped order
     with pytest.raises(ValidationError, match=f"score denominator {denominator} is not positive"):
         RankedList(StrategyKind.GD, ("e1", "e2"), (2, 1), denominator)
+
+
+@pytest.mark.parametrize("ids, keys, position", [
+    (("e1", "e2", "e3"), (3, 1, 2), "rank 3 ('e3')"),  # a score rises down the list
+    (("e2", "e1"), (1, 1), "rank 2 ('e1')"),  # a tie out of ascending id order
+])
+def test_ranking_out_of_order_is_rejected(ids, keys, position):
+    # write_csv would write scores that rise, and budgets would select the wrong prefix
+    with pytest.raises(ValidationError, match=rf"ranking out of order at {re.escape(position)}"):
+        RankedList(StrategyKind.GD, ids, keys, 1)
 
 
 # -- CSV ------------------------------------------------------------------

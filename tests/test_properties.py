@@ -7,12 +7,19 @@ confusion-matrix oracle in helpers, which shares no code with evaluate.
 Ranking: on random trees, every strategy orders the pool by (score
 descending, id ascending), with scores recomputed from the BFS and
 ancestor-set oracles in helpers; efficiency and Jaccard curves keep their
-bounds, endpoints, monotonicity and symmetry.
+bounds, endpoints, monotonicity and symmetry. CLI fuzz: command lines
+drawn from the CLI grammar, each flag left out or given a valid or a hostile
+value, run in process on a tiny synth bundle.
 """
 
+import io
 import json
+import os
 import random
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -45,6 +52,7 @@ from reannotate import (
     load_predictions,
     rank,
 )
+from reannotate.cli import main as cli_main
 from reannotate.synth import random_tree
 
 NEG = "no_relation"
@@ -285,3 +293,115 @@ def test_rank_and_curves_on_random_trees(case):
             assert overlap == jaccard_curve(other, ranking, schedule).values()
             assert overlap[0] == 1 and overlap[-1] == 1
             assert all(0 <= value <= 1 for value in overlap)
+
+
+# -- CLI fuzz -----------------------------------------------------------------
+
+COMMANDS = ["validate", "rank", "sweep", "f1curve", "synth"]
+STRATEGY_NAMES = [kind.value for kind in StrategyKind]
+HOSTILE = ["nan", "-1", "", str(10**30)]
+# synth sizes and shapes are small or fail fast, so no draw starts unbounded work
+SMALL_OR_FAILING = ["0", "-3", "nan", ""]
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    """A tiny synth bundle with an identity label map, and a parent for one dir per run."""
+    data = tmp_path_factory.mktemp("bundle")
+    argv = ["synth", "--out", str(data), "--seed", "2", "--pool-size", "12", "--models", "2"]
+    assert cli_main(argv) == 0
+    labels = load_pool(data / "pool.jsonl").labels()
+    (data / "label_map.json").write_text(json.dumps({label: label for label in labels}))
+    return data, tmp_path_factory.mktemp("runs")
+
+
+def _cli_grammar(command, data, run):
+    """(flag, valid values, hostile values, required, most repeats) for each flag of a command."""
+    files = [str(path) for path in sorted(data.iterdir())]
+    directory = str(data)
+
+    def input_file(flag, *names, most=1):
+        valid = [str(data / name) for name in names]
+        wrong = [path for path in files if path not in valid]
+        required = flag in ("--hierarchy", "--dataset")
+        return flag, valid, [*HOSTILE, directory, *wrong], required, most
+
+    out = ("--out", [str(run / "out"), str(run)], [*HOSTILE, files[0], str(Path(files[0], "x"))],
+           True, 1)
+    if command == "synth":
+        rate = (["0", "0.3", "1"], [*HOSTILE, "inf", "1e308", directory], False, 1)
+        shape = (["1", "2", "3"], [*SMALL_OR_FAILING, directory], False, 1)
+        return [
+            out,
+            ("--seed", ["0", "5"], [*HOSTILE, directory], False, 1),
+            ("--pool-size", ["1", "12", "50"], [*SMALL_OR_FAILING, directory], False, 1),
+            ("--models", ["1", "3", "50"], [*SMALL_OR_FAILING, directory], False, 1),
+            *((name, *rate) for name in ("--noise-rate", "--eliminate-rate", "--flip-rate")),
+            *((name, *shape) for name in ("--groups", "--subgroups", "--labels")),
+        ]
+    grammar = [
+        input_file("--hierarchy", "hierarchy.json"),
+        input_file("--dataset", "pool.jsonl"),
+        input_file("--predictions", "predictions_m1.jsonl", "predictions_m2.jsonl", most=2),
+        input_file("--gold", "gold.jsonl"),
+        input_file("--label-map", "label_map.json"),
+        ("--format", ["jsonl"], ["tacred", *HOSTILE], False, 1),
+    ]
+    if command == "validate":
+        return grammar
+    grammar += [
+        out,
+        ("--strategy", STRATEGY_NAMES, HOSTILE, False, 3),
+        ("--seed", ["0", "7"], [*HOSTILE, directory], False, 1),
+        ("--budgets", ["0,5,12", "stride:4", "12"], ["0,99", "stride:0", "stride:x", *HOSTILE],
+         False, 1),
+        ("--negative-label", [NEG, "g0s0x0"], [*HOSTILE, directory], False, 1),
+    ]
+    if command == "sweep":
+        grammar.append(("--reference-strategy", STRATEGY_NAMES, HOSTILE, False, 1))
+    return grammar
+
+
+def _cli_argv(draw, data, run):
+    """A command line in which at most two flags are left out or given a hostile value."""
+    command = draw(st.sampled_from(COMMANDS))
+    grammar = _cli_grammar(command, data, run)
+    broken = draw(st.sets(st.sampled_from([flag for flag, *_ in grammar]), max_size=2))
+    argv = [command]
+    for flag, valid, hostile, required, most in grammar:
+        if flag in broken:
+            repeats, values = draw(st.integers(0, 1)), hostile
+        else:
+            repeats = draw(st.integers(1 if required else 0, most))
+            values = valid
+        for _ in range(repeats):
+            argv += [flag, draw(st.sampled_from(values))]
+    if command == "f1curve" and draw(st.booleans()):
+        argv.append("--keep-eliminated")
+    return command, argv
+
+
+@SETTINGS
+@given(data=st.data())
+def test_cli_fuzz(cli_inputs, data):
+    # each command line exits 0, 1 or 2 with at most one error line, and a manifest only on 0
+    bundle, runs = cli_inputs
+    run = Path(tempfile.mkdtemp(dir=runs))
+    command, argv = _cli_argv(data.draw, bundle, run)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(run)  # relative --out values ("", "nan") land in this run's dir
+    try:
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            try:
+                code = cli_main(argv)
+            except SystemExit as exc:  # argparse rejected the command line
+                code = exc.code
+    finally:
+        os.chdir(cwd)
+    err = stderr.getvalue()
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err
+    assert sum("error:" in line for line in err.splitlines()) <= 1, (argv, err)
+    manifests = list(run.rglob("manifest.json"))
+    assert len(manifests) == (code == 0 and command != "validate"), (argv, code, manifests)
