@@ -149,6 +149,8 @@ def _schedule(args, pool_size: int) -> evaluate.BudgetSchedule:
 
 
 def _out_dir(args) -> Path:
+    if not args.out:  # Path("") is the working directory
+        raise ValidationError("--out must name a directory, got an empty string")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     # manifests are written last, so a run that fails leaves none behind

@@ -11,10 +11,11 @@ import csv
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from .corpus import GoldSet, Instance, PredictionSet
+from .corpus import GoldSet, Instance, PredictionSet, ReannotationPool, _EliminatedType
 from .errors import ValidationError
 from .strategies import RankedList
 
@@ -124,14 +125,11 @@ def jaccard_curve(a: RankedList, b: RankedList, schedule: BudgetSchedule) -> Cur
     previous = 0
     points = []
     for budget in schedule:
-        for iid in a.ids[previous:budget]:
-            if iid in seen_b:
-                intersection += 1
-            seen_a.add(iid)
-        for iid in b.ids[previous:budget]:
-            if iid in seen_a:
-                intersection += 1
-            seen_b.add(iid)
+        segment_a, segment_b = a.ids[previous:budget], b.ids[previous:budget]
+        intersection += len(seen_b.intersection(segment_a))
+        seen_a.update(segment_a)
+        intersection += len(seen_a.intersection(segment_b))
+        seen_b.update(segment_b)
         previous = budget
         union = 2 * budget - intersection
         value = Fraction(1) if union == 0 else Fraction(intersection, union)
@@ -153,11 +151,7 @@ def efficiency_curve(
     if gold.pool_ids != set(ranking.ids):
         raise ValidationError("gold and ranking cover different pools")
     _check_budgets(schedule, len(ranking))
-    cumulative = [0]
-    caught = 0
-    for iid in ranking.ids:
-        caught += iid in noisy
-        cumulative.append(caught)
+    cumulative = list(accumulate(map(noisy.__contains__, ranking.ids), initial=0))
     points = tuple(
         CurvePoint(b, Fraction(cumulative[b], len(noisy))) for b in schedule
     )
@@ -288,35 +282,38 @@ def f1_curve(
     computed incrementally over the ascending schedule so a full sweep
     touches each instance once.
     """
-    label_now = {inst.id: inst.label for inst in pool}
+    if isinstance(pool, ReannotationPool):
+        label_now = dict(zip(pool._ids, pool._labels))
+    else:
+        label_now = {inst.id: inst.label for inst in pool}
     if label_now.keys() != set(ranking.ids):
         raise ValidationError("pool and ranking cover different instances")
     _check_budgets(schedule, len(ranking))
 
     slot, columns = predictions.columns()
+    try:
+        slots = list(map(slot.__getitem__, label_now))
+    except KeyError as exc:
+        raise ValidationError(f"no prediction for instance {exc.args[0]!r}") from None
     counts = [
-        _confusion_counts(
-            ((labels[slot[iid]], label) for iid, label in label_now.items()), negative_label
-        )
+        _confusion_counts(zip(map(labels.__getitem__, slots), label_now.values()), negative_label)
         for labels, _ in columns
     ]
     per_model: list[list[tuple[int, MicroScores]]] = [[] for _ in columns]
+    relabels = gold._gold
     applied = 0
     for budget in schedule:
-        for iid in ranking.ids[applied:budget]:
-            record = gold.get(iid)
-            if record is None:
-                continue
+        for iid in filter(relabels.__contains__, ranking.ids[applied:budget]):
+            new = relabels[iid]
             old = label_now[iid]
-            if record.is_eliminated:
+            if isinstance(new, _EliminatedType):
                 if not drop_eliminated:
                     continue
                 new = None
                 del label_now[iid]
+            elif new == old:
+                continue
             else:
-                if record.gold == old:
-                    continue
-                new = record.gold
                 label_now[iid] = new
             at = slot[iid]
             for (labels, _), c in zip(columns, counts):

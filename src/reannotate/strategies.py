@@ -15,8 +15,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import chain, repeat
+from operator import and_, eq, ge, gt
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .corpus import Instance, PredictionSet, ReannotationPool
 from .errors import ValidationError
@@ -62,36 +64,38 @@ def _confidence_mean(
 
 
 def _scores(
-    pool: Iterable[Instance],
+    ids: Sequence[str],
+    dataset_labels: Sequence[str],
     predictions: PredictionSet,
     hierarchy: LabelHierarchy | None,
     kind: StrategyKind,
 ) -> tuple[list[int], int]:
-    """Each instance's GD, LD or CONFIDENCE score in pool order, as (int keys, denominator).
+    """Each instance's GD, LD or CONFIDENCE score in the given order, as (int keys, denominator).
 
-    Reads each instance's K predictions from the columns through the id ->
-    slot map. The distance cache lives for this call only: one hierarchy walk
-    per distinct (dataset label, prediction) pair.
+    Reads the K prediction columns through the id -> slot map, one instance's
+    K predictions after another: consecutive walks then share the dataset
+    label's path, which is faster on deep trees than one model after another.
+    The distance cache lives for this call only: one hierarchy walk per
+    distinct (dataset label, prediction) pair.
     """
     slot, columns = predictions.columns()
     try:
-        slots = [slot[inst.id] for inst in pool]
+        slots = list(map(slot.__getitem__, ids))
     except KeyError as exc:
         raise ValidationError(f"no predictions for instance {exc.args[0]!r}") from None
     rows = zip(*(map(labels.__getitem__, slots) for labels, _ in columns))
     if kind is StrategyKind.CONFIDENCE:
         confidences = zip(*(map(column.__getitem__, slots) for _, column in columns))
-        means = [
-            _confidence_mean(inst.label, row, confs)
-            for inst, row, confs in zip(pool, rows, confidences)
-        ]
+        means = list(map(_confidence_mean, dataset_labels, rows, confidences))
         scale = math.lcm(*{d for _, d in means})
         return [total * (scale // d) for total, d in means], scale
     distance = cache(
         hierarchy.tree_distance if kind is StrategyKind.GD else hierarchy.distance_to_lca
     )
-    keys = [sum(distance(inst.label, p) for p in row) for inst, row in zip(pool, rows)]
-    return keys, len(columns)
+    k = len(columns)
+    row_labels = chain.from_iterable(map(repeat, dataset_labels, repeat(k)))
+    distances = map(distance, row_labels, chain.from_iterable(rows))
+    return list(map(sum, zip(*[distances] * k))), k  # one sum per K consecutive distances
 
 
 def graph_distance_score(
@@ -102,7 +106,9 @@ def graph_distance_score(
     Models agreeing with the dataset label contribute 0; the mean runs over
     all K models.
     """
-    keys, denominator = _scores([instance], predictions, hierarchy, StrategyKind.GD)
+    keys, denominator = _scores(
+        (instance.id,), (instance.label,), predictions, hierarchy, StrategyKind.GD
+    )
     return Fraction(keys[0], denominator)
 
 
@@ -110,7 +116,9 @@ def lca_distance_score(
     instance: Instance, predictions: PredictionSet, hierarchy: LabelHierarchy
 ) -> Fraction:
     """Mean distance from the dataset label up to its LCA with each model's prediction."""
-    keys, denominator = _scores([instance], predictions, hierarchy, StrategyKind.LD)
+    keys, denominator = _scores(
+        (instance.id,), (instance.label,), predictions, hierarchy, StrategyKind.LD
+    )
     return Fraction(keys[0], denominator)
 
 
@@ -120,7 +128,9 @@ def confidence_score(instance: Instance, predictions: PredictionSet) -> Fraction
     0 when every model agrees, so unanimously agreed instances rank last
     among scored ones.
     """
-    keys, denominator = _scores([instance], predictions, None, StrategyKind.CONFIDENCE)
+    keys, denominator = _scores(
+        (instance.id,), (instance.label,), predictions, None, StrategyKind.CONFIDENCE
+    )
     return Fraction(keys[0], denominator)
 
 
@@ -142,18 +152,23 @@ class RankedList:
             raise ValidationError(f"{len(self.keys)} scores for {len(self.ids)} instances")
         if self.denominator < 1:
             raise ValidationError(f"score denominator {self.denominator} is not positive")
-        seen: set[str] = set()
-        for iid in self.ids:
-            if iid in seen:
-                raise ValidationError(f"instance {iid!r} appears twice in the ranking")
-            seen.add(iid)
-        pairs = zip(self.keys, self.keys[1:], self.ids, self.ids[1:])
-        for position, (key, next_key, iid, next_iid) in enumerate(pairs, start=2):
-            if next_key > key or (next_key == key and next_iid < iid):
-                raise ValidationError(
-                    f"ranking out of order at rank {position} ({next_iid!r}): scores must "
-                    f"not increase and ties must be in ascending id order"
-                )
+        if len(set(self.ids)) != len(self.ids):  # rescan for the first repeat
+            seen: set[str] = set()
+            for iid in self.ids:
+                if iid in seen:
+                    raise ValidationError(f"instance {iid!r} appears twice in the ranking")
+                seen.add(iid)
+        keys, next_keys, next_ids = self.keys, self.keys[1:], self.ids[1:]
+        if not all(map(ge, keys, next_keys)) or any(
+            map(and_, map(eq, keys, next_keys), map(gt, self.ids, next_ids))
+        ):  # rescan for the first rank out of order
+            pairs = zip(keys, next_keys, self.ids, next_ids)
+            for position, (key, next_key, iid, next_iid) in enumerate(pairs, start=2):
+                if next_key > key or (next_key == key and next_iid < iid):
+                    raise ValidationError(
+                        f"ranking out of order at rank {position} ({next_iid!r}): scores must "
+                        f"not increase and ties must be in ascending id order"
+                    )
 
     @property
     def name(self) -> str:
@@ -198,16 +213,17 @@ def rank(
             raise ValidationError("random strategy requires a seed")
         _check_seed(seed)
         rng = random.Random(seed)
-        draws = {iid: int(rng.random() * 2**53) for iid in sorted(pool.ids())}
-        keys, denominator = [draws[inst.id] for inst in pool], 2**53
+        keys, denominator = [0] * len(pool), 2**53
+        for row in pool._id_order:
+            keys[row] = int(rng.random() * 2**53)
     elif predictions is None:
         raise ValidationError(f"{kind.value} strategy requires predictions")
     elif kind is not StrategyKind.CONFIDENCE and hierarchy is None:
         raise ValidationError(f"{kind.value} strategy requires a hierarchy")
     else:
-        keys, denominator = _scores(pool, predictions, hierarchy, kind)
+        keys, denominator = _scores(pool.ids(), pool._labels, predictions, hierarchy, kind)
     ids = pool.ids()
-    order = sorted(range(len(ids)), key=ids.__getitem__)  # the stable sort below keeps ties so
+    order = pool._id_order.copy()  # the stable sort below keeps ties in ascending id order
     order.sort(key=keys.__getitem__, reverse=True)
     ids, keys = tuple(map(ids.__getitem__, order)), tuple(map(keys.__getitem__, order))
     return RankedList(kind, ids, keys, denominator)

@@ -12,11 +12,13 @@ from reannotate import (
     GoldSet,
     Instance,
     LabelHierarchy,
+    ParseError,
     PredictionRecord,
     PredictionSet,
     RankedList,
     ReannotationPool,
     StrategyKind,
+    ValidationError,
 )
 
 # -- brute-force oracles -----------------------------------------------------
@@ -132,3 +134,16 @@ def make_gold(pool, relabels):
 def ordered_ranking(ids, kind=StrategyKind.GD):
     """A RankedList with the given order (fabricated strictly descending scores)."""
     return RankedList(kind, tuple(ids), tuple(range(len(ids), 0, -1)), 1)
+
+
+def loader_outcome(load, *args):
+    """What a loader returned, as a repr that tells 1 from 1.0, or the error it raised."""
+    try:
+        loaded = load(*args)
+    except (ParseError, ValidationError) as exc:
+        return type(exc), str(exc)
+    if isinstance(loaded, ReannotationPool):
+        return repr(list(loaded))
+    if isinstance(loaded, PredictionSet):
+        return repr((loaded.model_ids, loaded.columns()))
+    return repr((loaded.records(), sorted(loaded.noisy_ids)))

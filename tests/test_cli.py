@@ -553,3 +553,17 @@ def test_synth_deterministic(tmp_path):
         main(["synth", "--out", str(data), "--seed", "42", "--pool-size", "30", "--models", "2"])
         bundles.append({p.name: p.read_bytes() for p in data.iterdir()})
     assert bundles[0] == bundles[1]
+
+
+@pytest.mark.parametrize("command", ["synth", "rank"])
+def test_empty_out_is_rejected_and_writes_nothing(worked_bundle, monkeypatch, capsys, command):
+    # Path("") is the working directory: an unset $DIR in --out "$DIR" must not scatter files
+    tmp_path, flags = worked_bundle
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    argv = {"synth": ["--pool-size", "10"], "rank": [*flags, "--strategy", "gd"]}[command]
+    assert main([command, *argv, "--out", ""]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert list(cwd.iterdir()) == []

@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from helpers import make_gold, make_pool, make_predictions
+from helpers import loader_outcome, make_gold, make_pool, make_predictions
 from reannotate import (
     ELIMINATED,
     GoldRecord,
@@ -26,6 +26,7 @@ from reannotate import (
     write_pool,
     write_predictions,
 )
+from reannotate import corpus
 from reannotate.cli import main
 from reannotate.synth import balanced_hierarchy, synth_corpus
 
@@ -481,3 +482,128 @@ def test_jsonl_line_numbers_hold_for_crlf_and_cr(tmp_path, newline):
     with pytest.raises(ParseError) as info:
         load_pool(path)
     assert str(info.value).startswith(f"{path}:3: invalid JSON: ")
+
+
+# -- bulk parse of flat files ------------------------------------------------
+
+# A bulk parse of "[" + ",".join(lines) + "]" reads each of these as three
+# records on three lines; the per-line path rejects line 1.
+TRAPS = [
+    ['{"a": [{"b": 1}', '{"c": 2}]}', "{}, {}"],
+    ['{"a":1', '"b":2}', '{"c":1}, {"d":2}'],
+    [
+        '{"id": "e1", "relation": "a", "x": [{"b": 1}',
+        '{"c": 2}]}',
+        '{"id": "e2", "relation": "a"}, {"id": "e3", "relation": "a"}',
+    ],
+    [
+        '{"id": "e1"',
+        '"relation": "a"}',
+        '{"id": "e2", "relation": "a"}, {"id": "e3", "relation": "a"}',
+    ],
+]
+
+
+@pytest.mark.parametrize("lines", TRAPS)
+def test_bulk_parse_refuses_records_that_are_not_one_per_line(tmp_path, lines):
+    path = tmp_path / "p.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(corpus._Unsure):
+        list(corpus._flat_chunks(path))
+    with pytest.raises(ParseError) as info:
+        load_pool(path)
+    assert str(info.value).startswith(f"{path}:1: invalid JSON: ")
+
+
+def _flat_bundle(tmp_path):
+    """A pool, two shuffled complete predictions files and gold, all flat."""
+    ids = [f"e{i}" for i in range(600)]  # more than one bulk chunk
+    pool = jsonl(tmp_path / "pool.jsonl", [
+        {"id": iid, "relation": "ab"[i % 2], "partition": "TEST", **({"n": i} if i % 7 else {})}
+        for i, iid in enumerate(ids)
+    ])
+    shuffled = random.Random(3).sample(ids, len(ids))
+    predictions = [
+        jsonl(tmp_path / f"{model}.jsonl", [
+            {"model": model, "id": iid, "label": "ba"[i % 2], "confidence": i / 600}
+            for i, iid in enumerate(shuffled)
+        ])
+        for model in ("m1", "m2")
+    ]
+    gold = jsonl(tmp_path / "gold.jsonl", [
+        {"id": iid, "gold": None if i % 5 else "b"} for i, iid in enumerate(shuffled[:300])
+    ])
+    return pool, predictions, gold
+
+
+def test_complete_shuffled_files_take_the_bulk_path(tmp_path, monkeypatch):
+    pool_path, prediction_paths, gold_path = _flat_bundle(tmp_path)
+    pool = corpus._pool_by_line(pool_path)
+    expected = [
+        loader_outcome(corpus._pool_by_line, pool_path),
+        loader_outcome(corpus._predictions_by_line, prediction_paths, pool),
+        loader_outcome(corpus._gold_by_line, gold_path, pool),
+    ]
+
+    def refuse(path):
+        raise AssertionError(f"{path} was read line by line")
+
+    monkeypatch.setattr(corpus, "_iter_jsonl", refuse)
+    assert [
+        loader_outcome(load_pool, pool_path),
+        loader_outcome(load_predictions, prediction_paths, pool),
+        loader_outcome(load_gold, gold_path, pool),
+    ] == expected
+
+
+# One defect on an otherwise flat, complete file. load_* answers exactly as the
+# per-line path does, and where that path raises, the bulk path only gives up.
+@pytest.mark.parametrize("kind, row, key, value", [
+    ("pool", 5, "id", "repeat"),
+    ("pool", 5, "id", ""),
+    ("pool", 5, "id", 7),
+    ("pool", 5, "relation", ""),
+    ("pool", 5, "partition", "val"),
+    ("pool", 5, "partition", 3),
+    ("pool", 5, "relation", None),
+    ("pool", 5, "x", [1]),
+    ("predictions", 5, "confidence", 1),
+    ("predictions", 5, "confidence", True),
+    ("predictions", 5, "confidence", float("nan")),
+    ("predictions", 5, "confidence", float("inf")),
+    ("predictions", 5, "confidence", 1.5),
+    ("predictions", 5, "confidence", None),
+    ("predictions", 5, "id", "ghost"),
+    ("predictions", 5, "id", "repeat"),
+    ("predictions", 5, "model", "m1"),
+    ("predictions", 0, "model", "m1"),
+    ("predictions", 5, "label", 3),
+    ("predictions", 5, None, None),
+    ("gold", 5, "id", "ghost"),
+    ("gold", 5, "id", "repeat"),
+    ("gold", 5, "gold", ""),
+    ("gold", 5, "gold", 3),
+    ("gold", 5, None, None),
+])
+def test_bulk_path_leaves_each_defect_to_the_per_line_path(tmp_path, kind, row, key, value):
+    pool_path, prediction_paths, gold_path = _flat_bundle(tmp_path)
+    path = {"pool": pool_path, "predictions": prediction_paths[1], "gold": gold_path}[kind]
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    if key is None:  # drop the record
+        del records[row]
+    else:
+        records[row][key] = records[0][key] if value == "repeat" else value
+    jsonl(path, records)
+    pool = corpus._pool_by_line(pool_path) if kind != "pool" else None
+    load, by_line, args = {
+        "pool": (load_pool, corpus._pool_by_line, [path]),
+        "predictions": (load_predictions, corpus._predictions_by_line, [prediction_paths, pool]),
+        "gold": (load_gold, corpus._gold_by_line, [path, pool]),
+    }[kind]
+    expected = loader_outcome(by_line, *args)
+    assert loader_outcome(load, *args) == expected
+    if isinstance(expected, tuple):  # an error
+        bulk = {"pool": corpus._pool_in_bulk, "predictions": corpus._predictions_in_bulk,
+                "gold": corpus._gold_in_bulk}[kind]
+        with pytest.raises(corpus._Unsure):
+            bulk(*args)

@@ -9,6 +9,7 @@ from reannotate import (
     BudgetSchedule,
     CurvePoint,
     CurveSeries,
+    Instance,
     RankedList,
     StrategyKind,
     ValidationError,
@@ -16,10 +17,15 @@ from reannotate import (
     efficiency_curve,
     f1_curve,
     jaccard_curve,
+    load_gold,
+    load_hierarchy,
+    load_pool,
+    load_predictions,
     micro_f1,
     rank,
     write_curves_csv,
 )
+from reannotate.cli import main
 
 NEG = "no_relation"
 
@@ -424,3 +430,28 @@ def test_write_curves_csv_sorted(tmp_path):
         "f1,m2,5,1.0\n"
         "recall,m1,0,0.5\n"
     )
+
+
+def test_ranking_and_curves_build_no_instance(tmp_path, monkeypatch):
+    # the pool is held as columns: scoring and the curves read them in place
+    assert main(["synth", "--out", str(tmp_path), "--seed", "4", "--pool-size", "300"]) == 0
+    hierarchy = load_hierarchy(tmp_path / "hierarchy.json")
+    pool = load_pool(tmp_path / "pool.jsonl")
+    preds = load_predictions(sorted(tmp_path.glob("predictions_*.jsonl")), pool)
+    gold = load_gold(tmp_path / "gold.jsonl", pool)
+    schedule = BudgetSchedule.strided(40, len(pool))
+    built = []
+    init = Instance.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Instance, "__init__", counting_init)
+    ranked = [rank(pool, preds, hierarchy, kind, seed=1) for kind in StrategyKind]
+    efficiency_curve(ranked[0], gold, schedule)
+    jaccard_curve(ranked[0], ranked[1], schedule)
+    f1_curve(preds, pool, ranked[2], gold, schedule, NEG)
+    assert built == []
+    pool.get(pool.ids()[0])  # the counter counts
+    assert len(built) == 1

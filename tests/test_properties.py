@@ -1,9 +1,12 @@
 """Property tests on generated inputs (Hypothesis, MacIver et al., JOSS 2019).
 
 Loader fuzz: whatever the bytes of an input file, a loader either returns
-or raises ParseError / ValidationError. Recount: f1_curve agrees at every
-budget with relabeling the pool from scratch and recounting through the
-confusion-matrix oracle in helpers, which shares no code with evaluate.
+or raises ParseError / ValidationError. Bulk and per-line loading agree: on
+flat files with drawn defects and layouts, each JSON Lines loader returns
+what its per-line path returns, or raises the same error. Recount:
+f1_curve agrees at every budget with relabeling the pool from scratch and
+recounting through the confusion-matrix oracle in helpers, which shares no
+code with evaluate.
 Ranking: on random trees, every strategy orders the pool by (score
 descending, id ascending), with scores recomputed from the BFS and
 ancestor-set oracles in helpers; efficiency and Jaccard curves keep their
@@ -30,6 +33,7 @@ from helpers import (
     ancestor_chain,
     bfs_distance,
     lca_by_ancestor_sets,
+    loader_outcome,
     make_gold,
     make_pool,
     make_predictions,
@@ -52,6 +56,7 @@ from reannotate import (
     load_predictions,
     rank,
 )
+from reannotate import corpus
 from reannotate.cli import main as cli_main
 from reannotate.synth import random_tree
 
@@ -183,6 +188,140 @@ def test_load_hierarchy_fuzz(scratch, text):
 @given(text=label_map_doc)
 def test_load_label_map_fuzz(scratch, text):
     _loads_or_rejects(load_label_map, scratch, text)
+
+
+# -- bulk and per-line loading agree -------------------------------------------
+
+# Files start clean: flat, complete, one record per line, which the bulk path
+# takes. Then up to two defects are drawn, each a field set to a messy value, a
+# key removed or a record dropped, and the layout may split records across
+# lines, merge them onto one, or add blank lines.
+clean_labels = st.sampled_from(["A", "B", NEG])
+EQ_POOL_IDS = ["s1", "s2", "s3", "s4", "s5"]
+EQ_POOL = make_pool({iid: "A" for iid in EQ_POOL_IDS})
+REMOVE, DROP = "remove key", "drop record"
+BRACES = ["{", "}", "[", "]", "a{b}", ""]  # "" is an empty label
+POOL_DEFECTS = [
+    *[("relation", v) for v in BRACES], *[("text", v) for v in BRACES],
+    ("id", "s1"), ("id", ""), ("partition", "val"), ("partition", ""), ("partition", 3),
+    ("text", [1, {"a": 2}]), ("id", REMOVE), ("relation", REMOVE), ("id", DROP),
+]
+PREDICTION_DEFECTS = [
+    *[("confidence", v) for v in (0, 1, True, float("nan"), float("inf"), 1.5, "0.5", None)],
+    *[("label", v) for v in BRACES],
+    ("model", "m9"), ("id", "s1"), ("id", "ghost"), ("confidence", REMOVE), ("id", DROP),
+]
+GOLD_DEFECTS = [
+    *[("gold", v) for v in BRACES],
+    ("gold", 3), ("id", "s1"), ("id", "ghost"), ("gold", REMOVE), ("id", DROP),
+]
+
+
+@st.composite
+def with_defects(draw, records, defects):
+    """`records` with up to two (key, value) defects; a dropped record is left empty."""
+    for _ in range(draw(st.sampled_from([0, 0, 1, 1, 2]))):
+        if not records:
+            break
+        record = draw(st.sampled_from(records))
+        key, value = draw(st.sampled_from(defects))
+        if value == DROP:
+            record.clear()
+        elif value == REMOVE:
+            record.pop(key, None)
+        else:
+            record[key] = value
+    return records
+
+
+@st.composite
+def layout(draw, records):
+    """JSON Lines text of the non-empty `records`, one per line or with some split
+    across two lines (keeping or dropping the comma) or merged onto one, padded,
+    with blank lines between."""
+    ways = draw(st.sampled_from([["line"], ["line"], ["line"] * 3 + ["split", "merge", "blank"]]))
+    texts = [json.dumps(r) for r in records if r]
+    lines = []
+    i = 0
+    while i < len(texts):
+        text = texts[i]
+        how = draw(st.sampled_from(ways))
+        if how == "split":
+            text = text.replace(", ", draw(st.sampled_from([",\n", "\n"])), 1)
+        elif how == "merge" and i + 1 < len(texts):
+            i += 1
+            text += draw(st.sampled_from([" ", ", ", ""])) + texts[i]
+        elif how == "blank":
+            lines.append(draw(padding))
+        lines.append(draw(padding) + text + draw(padding))
+        i += 1
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@st.composite
+def pool_files(draw):
+    records = []
+    for iid in draw(st.permutations(EQ_POOL_IDS)):
+        record = {"id": iid, "relation": draw(clean_labels)}
+        partition = draw(st.sampled_from([None, "test", "TEST", "Dev", "absent"]))
+        if partition != "absent":
+            record["partition"] = partition
+        if draw(st.booleans()):
+            record["text"] = draw(clean_labels)
+        records.append(record)
+    return draw(layout(draw(with_defects(records, POOL_DEFECTS))))
+
+
+@st.composite
+def prediction_files(draw):
+    files = [
+        [
+            {"model": model, "id": iid, "label": draw(clean_labels),
+             "confidence": draw(st.sampled_from([0.0, 0.25, 0.5, 0.9, 1.0]))}
+            for iid in draw(st.permutations(EQ_POOL_IDS))
+        ]
+        for model in draw(st.sampled_from([["m1", "m2"], ["m1", "m2"], ["m1", "m1"], ["m1"]]))
+    ]
+    draw(with_defects([r for records in files for r in records], PREDICTION_DEFECTS))
+    return [draw(layout(records)) for records in files]
+
+
+@st.composite
+def gold_files(draw):
+    ids = draw(st.permutations(EQ_POOL_IDS))[: draw(st.integers(0, len(EQ_POOL_IDS)))]
+    records = [{"id": iid, "gold": draw(clean_labels | st.none())} for iid in ids]
+    return draw(layout(draw(with_defects(records, GOLD_DEFECTS))))
+
+
+def _write(directory, texts):
+    paths = []
+    for i, text in enumerate(texts):
+        paths.append(directory / f"input{i}.jsonl")
+        paths[-1].write_text(text, encoding="utf-8")
+    return paths
+
+
+@SETTINGS
+@given(text=pool_files())
+def test_load_pool_agrees_with_per_line_path(scratch, text):
+    (path,) = _write(scratch.parent, [text])
+    assert loader_outcome(load_pool, path) == loader_outcome(corpus._pool_by_line, path)
+
+
+@SETTINGS
+@given(texts=prediction_files())
+def test_load_predictions_agrees_with_per_line_path(scratch, texts):
+    paths = _write(scratch.parent, texts)
+    expected = loader_outcome(corpus._predictions_by_line, paths, EQ_POOL)
+    assert loader_outcome(load_predictions, paths, EQ_POOL) == expected
+
+
+@SETTINGS
+@given(text=gold_files())
+def test_load_gold_agrees_with_per_line_path(scratch, text):
+    (path,) = _write(scratch.parent, [text])
+    expected = loader_outcome(corpus._gold_by_line, path, EQ_POOL)
+    assert loader_outcome(load_gold, path, EQ_POOL) == expected
 
 
 # -- recount ------------------------------------------------------------------
