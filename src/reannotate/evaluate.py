@@ -8,14 +8,15 @@ assembled output is deterministic regardless of execution order.
 from __future__ import annotations
 
 import csv
-from collections import Counter
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, compress, repeat
+from operator import and_, eq, is_, is_not, ne, sub
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .corpus import GoldSet, Instance, PredictionSet, ReannotationPool, _EliminatedType
+from .corpus import ELIMINATED, GoldSet, Instance, PredictionSet, ReannotationPool
 from .errors import ValidationError
 from .strategies import RankedList
 
@@ -116,9 +117,6 @@ def jaccard_curve(a: RankedList, b: RankedList, schedule: BudgetSchedule) -> Cur
     Defined as 1 at B = 0 (two empty selections); the series is labeled
     with `a`'s strategy name.
     """
-    if set(a.ids) != set(b.ids):
-        raise ValidationError("rankings cover different pools")
-    _check_budgets(schedule, len(a))
     seen_a: set[str] = set()
     seen_b: set[str] = set()
     intersection = 0
@@ -134,6 +132,11 @@ def jaccard_curve(a: RankedList, b: RankedList, schedule: BudgetSchedule) -> Cur
         union = 2 * budget - intersection
         value = Fraction(1) if union == 0 else Fraction(intersection, union)
         points.append(CurvePoint(budget, value))
+    seen_a.update(a.ids[previous:])
+    seen_b.update(b.ids[previous:])
+    if seen_a != seen_b:
+        raise ValidationError("rankings cover different pools")
+    _check_budgets(schedule, len(a))
     return CurveSeries("jaccard", a.name, tuple(points))
 
 
@@ -218,6 +221,28 @@ class MicroScores(NamedTuple):
     f1: Fraction
 
 
+def _credited(labels: list, negative_label: str) -> list[str | None]:
+    """Each label, or None where it earns no credit (the negative label and
+    ELIMINATED). No prediction equals None."""
+    no_credit = {negative_label: None, ELIMINATED: None}
+    return list(map(no_credit.get, labels, labels))
+
+
+def _counts(preds: Sequence[str], credit: list, negative_label: str) -> tuple[int, int, int]:
+    """The one count rule: true positives (predictions equal to the credited
+    label), predicted positives and gold positives; fp = predicted - tp and
+    fn = gold - tp."""
+    tp = sum(map(eq, preds, credit))
+    return tp, len(preds) - preds.count(negative_label), len(credit) - credit.count(None)
+
+
+def _scores(tp: int, predicted: int, gold: int) -> MicroScores:
+    precision = Fraction(tp, predicted) if predicted else Fraction(0)
+    recall = Fraction(tp, gold) if gold else Fraction(0)
+    f1 = Fraction(2 * tp, predicted + gold) if tp else Fraction(0)
+    return MicroScores(precision, recall, f1)
+
+
 def micro_f1(
     predictions: Mapping[str, str],
     labels: Mapping[str, str],
@@ -230,39 +255,12 @@ def micro_f1(
     false positive; missing a non-negative label is a false negative.
     Every labeled instance needs a prediction; 0/0 ratios are reported as 0.
     """
-    pairs = ((predictions[iid], label) for iid, label in labels.items())
-    return _scores_from_counts(*_confusion_counts(pairs, negative_label))
-
-
-def _scores_from_counts(tp: int, fp: int, fn: int) -> MicroScores:
-    precision = Fraction(tp, tp + fp) if tp + fp else Fraction(0)
-    recall = Fraction(tp, tp + fn) if tp + fn else Fraction(0)
-    if precision + recall:
-        f1 = 2 * precision * recall / (precision + recall)
-    else:
-        f1 = Fraction(0)
-    return MicroScores(precision, recall, f1)
-
-
-def _confusion_delta(pred: str, label: str, negative_label: str) -> tuple[int, int, int]:
-    if pred == label:
-        return (int(pred != negative_label), 0, 0)
-    return (0, int(pred != negative_label), int(label != negative_label))
-
-
-def _confusion_counts(pairs: Iterable[tuple[str, str]], negative_label: str) -> list[int]:
-    """[tp, fp, fn] over (prediction, label) pairs, one delta per distinct pair."""
     try:
-        counted = Counter(pairs)
+        preds = list(map(predictions.__getitem__, labels))
     except KeyError as exc:
         raise ValidationError(f"no prediction for instance {exc.args[0]!r}") from None
-    tp = fp = fn = 0
-    for (pred, label), n in counted.items():
-        dtp, dfp, dfn = _confusion_delta(pred, label, negative_label)
-        tp += n * dtp
-        fp += n * dfp
-        fn += n * dfn
-    return [tp, fp, fn]
+    credit = _credited(list(labels.values()), negative_label)
+    return _scores(*_counts(preds, credit, negative_label))
 
 
 def f1_curve(
@@ -279,8 +277,8 @@ def f1_curve(
 
     Equivalent to scoring each model against
     ``apply_reannotation(pool, ranking, gold, B)`` at every budget, but
-    computed incrementally over the ascending schedule so a full sweep
-    touches each instance once.
+    counted once over the pool and then kept as running counts over the
+    ids whose gold value changes their label in `pool`, in rank order.
     """
     if isinstance(pool, ReannotationPool):
         label_now = dict(zip(pool._ids, pool._labels))
@@ -291,51 +289,52 @@ def f1_curve(
     _check_budgets(schedule, len(ranking))
 
     slot, columns = predictions.columns()
-    try:
-        slots = list(map(slot.__getitem__, label_now))
-    except KeyError as exc:
-        raise ValidationError(f"no prediction for instance {exc.args[0]!r}") from None
-    counts = [
-        _confusion_counts(zip(map(labels.__getitem__, slots), label_now.values()), negative_label)
-        for labels, _ in columns
-    ]
-    per_model: list[list[tuple[int, MicroScores]]] = [[] for _ in columns]
-    relabels = gold._gold
-    applied = 0
-    for budget in schedule:
-        for iid in filter(relabels.__contains__, ranking.ids[applied:budget]):
-            new = relabels[iid]
-            old = label_now[iid]
-            if isinstance(new, _EliminatedType):
-                if not drop_eliminated:
-                    continue
-                new = None
-                del label_now[iid]
-            elif new == old:
-                continue
-            else:
-                label_now[iid] = new
-            at = slot[iid]
-            for (labels, _), c in zip(columns, counts):
-                pred = labels[at]
-                dtp, dfp, dfn = _confusion_delta(pred, old, negative_label)
-                c[0] -= dtp
-                c[1] -= dfp
-                c[2] -= dfn
-                if new is not None:
-                    dtp, dfp, dfn = _confusion_delta(pred, new, negative_label)
-                    c[0] += dtp
-                    c[1] += dfp
-                    c[2] += dfn
-        applied = budget
-        for points, c in zip(per_model, counts):
-            points.append((budget, _scores_from_counts(*c)))
+    if isinstance(pool, ReannotationPool) and slot is pool._position:
+        by_pool = [labels for labels, _ in columns]  # the columns are in pool order
+    else:
+        try:
+            slots = list(map(slot.__getitem__, label_now))
+        except KeyError as exc:
+            raise ValidationError(f"no prediction for instance {exc.args[0]!r}") from None
+        by_pool = [list(map(labels.__getitem__, slots)) for labels, _ in columns]
+    credit = _credited(list(label_now.values()), negative_label)
 
-    return [
-        CurveSeries(metric, m, tuple(CurvePoint(b, s[i]) for b, s in points))
-        for m, points in zip(predictions.model_ids, per_model)
-        for i, metric in enumerate(MicroScores._fields)
-    ]
+    # the ids whose gold value changes their label in `pool`, in rank order
+    relabels = gold._gold
+    changed = set(compress(relabels, map(ne, relabels.values(), map(label_now.get, relabels))))
+    if not drop_eliminated:
+        eliminated = map(is_, relabels.values(), repeat(ELIMINATED))
+        changed.difference_update(compress(relabels, eliminated))
+    walked = list(map(changed.__contains__, ranking.ids))
+    walk = list(compress(ranking.ids, walked))
+    walk_slots = list(map(slot.__getitem__, walk))
+    new = list(map(relabels.__getitem__, walk))
+    dropped = list(map(is_, new, repeat(ELIMINATED)))
+    old_credit = _credited(list(map(label_now.__getitem__, walk)), negative_label)
+    new_credit = _credited(new, negative_label)
+    gained = map(sub, map(is_not, new_credit, repeat(None)), map(is_not, old_credit, repeat(None)))
+    gold_moved = list(accumulate(gained, initial=0))
+    # index k of a running count is after the first k changes; budget b
+    # has applied the changes ranked before b
+    ranks = list(compress(range(len(walked)), walked))
+    applied = [bisect_left(ranks, b) for b in schedule]
+
+    series = []
+    for model, preds, (column, _) in zip(predictions.model_ids, by_pool, columns):
+        tp, predicted, gold_count = _counts(preds, credit, negative_label)
+        walk_preds = list(map(column.__getitem__, walk_slots))
+        tp_delta = map(sub, map(eq, walk_preds, new_credit), map(eq, walk_preds, old_credit))
+        tp_now = list(accumulate(tp_delta, initial=tp))
+        unpredicted = map(and_, dropped, map(ne, walk_preds, repeat(negative_label)))
+        predicted_now = list(accumulate(unpredicted, sub, initial=predicted))
+        scores = [
+            _scores(tp_now[k], predicted_now[k], gold_count + gold_moved[k]) for k in applied
+        ]
+        series += [
+            CurveSeries(metric, model, tuple(map(CurvePoint, schedule, values)))
+            for metric, values in zip(MicroScores._fields, zip(*scores))
+        ]
+    return series
 
 
 def write_curves_csv(series: Iterable[CurveSeries], target: str | Path) -> None:

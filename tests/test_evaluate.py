@@ -112,6 +112,14 @@ def test_jaccard_mismatched_pools():
         jaccard_curve(one, two, BudgetSchedule((0, 1)))
 
 
+def test_jaccard_mismatched_pools_of_one_size_past_the_budget():
+    # the pool check comes first, even with a budget beyond both pools
+    one = ordered_ranking(["a", "b"])
+    two = ordered_ranking(["a", "c"])
+    with pytest.raises(ValidationError, match="different pools"):
+        jaccard_curve(one, two, BudgetSchedule((0, 1, 3)))
+
+
 def test_jaccard_budget_beyond_pool():
     one = ordered_ranking(["a", "b"])
     with pytest.raises(ValidationError, match="exceeds pool size"):

@@ -42,6 +42,7 @@ from helpers import (
 )
 from reannotate import (
     BudgetSchedule,
+    Instance,
     ParseError,
     StrategyKind,
     ValidationError,
@@ -54,6 +55,7 @@ from reannotate import (
     load_label_map,
     load_pool,
     load_predictions,
+    micro_f1,
     rank,
 )
 from reannotate import corpus
@@ -62,6 +64,7 @@ from reannotate.synth import random_tree
 
 NEG = "no_relation"
 LABELS = ["A", "B", NEG]
+ABSENT = "unused"  # a label that no instance, prediction or gold record carries
 FIELDS = ["id", "relation", "partition", "model", "label", "confidence", "gold",
           "nodes", "name", "parent"]
 SETTINGS = settings(
@@ -361,6 +364,68 @@ def test_f1_curve_matches_recount(case, drop):
             got = tuple(by_key[(m, metric)].value_at(budget)
                         for metric in ("precision", "recall", "f1"))
             assert got == expected
+
+
+@st.composite
+def moved_pool_cases(draw):
+    """Gold over one pool, scored on a plain list of Instances whose labels
+    differ from that pool's on drawn ids; gold also repeats pool labels."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    loaded = {f"e{i}": draw(st.sampled_from(LABELS)) for i in range(n)}
+    ids = sorted(loaded)
+    gold_pool = make_pool(loaded)
+    relabels = draw(st.dictionaries(st.sampled_from(ids), st.sampled_from([*LABELS, None])))
+    relabels.update({iid: loaded[iid] for iid in draw(st.sets(st.sampled_from(ids)))})
+    shifts = st.integers(min_value=1, max_value=2)
+    moved = {iid: draw(shifts) for iid in draw(st.sets(st.sampled_from(ids)))}
+    pool = [
+        Instance(iid, LABELS[(LABELS.index(label) + moved.get(iid, 0)) % len(LABELS)])
+        for iid, label in loaded.items()
+    ]
+    models = [f"m{j}" for j in range(draw(st.integers(min_value=1, max_value=3)))]
+    preds = make_predictions(
+        gold_pool, {m: {iid: draw(st.sampled_from(LABELS)) for iid in ids} for m in models}
+    )
+    order = draw(st.permutations(ids))
+    budgets = draw(st.sets(st.integers(min_value=0, max_value=n), min_size=1))
+    return pool, preds, make_gold(gold_pool, relabels), ordered_ranking(order), budgets
+
+
+@SETTINGS
+@given(case=moved_pool_cases(), drop=st.booleans(), negative=st.sampled_from([*LABELS, ABSENT]))
+def test_f1_curve_on_a_relabeled_plain_pool_matches_recount(case, drop, negative):
+    # the changed ids come from the passed pool's labels, not the gold set's noisy ids
+    pool, preds, gold, ranking, budgets = case
+    schedule = BudgetSchedule(tuple(sorted(budgets)))
+    series = f1_curve(preds, pool, ranking, gold, schedule, negative, drop_eliminated=drop)
+    by_key = {(s.series, s.metric): s for s in series}
+    for budget in schedule:
+        labels_now = apply_reannotation(
+            pool, ranking, gold, budget, drop_eliminated=drop
+        ).labels_by_id()
+        for m in preds.model_ids:
+            pred_map = {rec.instance_id: rec.label for rec in preds.records_for_model(m)}
+            expected = oracle_micro_f1(pred_map, labels_now, negative)
+            got = tuple(by_key[(m, metric)].value_at(budget)
+                        for metric in ("precision", "recall", "f1"))
+            assert got == expected
+
+
+@SETTINGS
+@given(data=st.data(), negative=st.sampled_from([*LABELS, ABSENT]))
+def test_micro_f1_matches_oracle(data, negative):
+    # one alphabet of the negative label alone gives cases with no positives
+    alphabet = st.sampled_from(data.draw(st.sampled_from([LABELS, [negative]])))
+    ids = st.sampled_from([f"e{i}" for i in range(8)])
+    labels = data.draw(st.dictionaries(ids, alphabet))
+    preds = {iid: data.draw(alphabet) for iid in labels}
+    preds.update(data.draw(st.dictionaries(ids, alphabet)))  # predictions may cover more
+    assert micro_f1(preds, labels, negative) == oracle_micro_f1(preds, labels, negative)
+    if labels:
+        missing = data.draw(st.sampled_from(sorted(labels)))
+        del preds[missing]
+        with pytest.raises(ValidationError, match=f"^no prediction for instance '{missing}'$"):
+            micro_f1(preds, labels, negative)
 
 
 # -- ranking and curves -------------------------------------------------------
