@@ -2,8 +2,7 @@
 
 Scores are exact rationals, kept as integer keys over one denominator per
 ranking, so ordering compares integers and never hinges on floating-point
-equality; floats appear only when writing CSV. Scoring is a pure function per instance and may be run
-concurrently against the shared immutable hierarchy and prediction set.
+equality; floats appear only when writing CSV.
 """
 
 from __future__ import annotations
@@ -16,9 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import chain, repeat
-from operator import and_, eq, ge, gt
+from operator import add, and_, eq, ge, gt, lshift, mul, ne, sub
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Mapping, Sequence
 
 from .corpus import Instance, PredictionSet, ReannotationPool
 from .errors import ValidationError
@@ -51,51 +50,60 @@ def _check_seed(seed: object) -> None:
         raise ValidationError(f"seed {seed} outside [0, 2^64)")
 
 
-def _confidence_mean(
-    label: str, predicted: Iterable[str], confidences: Iterable[float]
-) -> tuple[int, int]:
-    """Exact mean confidence of the predictions that differ from ``label``, as a ratio."""
-    ratios = [c.as_integer_ratio() for p, c in zip(predicted, confidences) if p != label]
-    if not ratios:
-        return 0, 1  # every model agrees
-    denominator = math.lcm(*(d for _, d in ratios))  # the largest one, for floats
-    total = sum(n * (denominator // d) for n, d in ratios)
-    return total, denominator * len(ratios)
-
-
 def _scores(
     ids: Sequence[str],
     dataset_labels: Sequence[str],
     predictions: PredictionSet,
     hierarchy: LabelHierarchy | None,
     kind: StrategyKind,
+    position: Mapping[str, int] | None = None,
 ) -> tuple[list[int], int]:
     """Each instance's GD, LD or CONFIDENCE score in the given order, as (int keys, denominator).
 
-    Reads the K prediction columns through the id -> slot map, one instance's
-    K predictions after another: consecutive walks then share the dataset
-    label's path, which is faster on deep trees than one model after another.
-    The distance cache lives for this call only: one hierarchy walk per
-    distinct (dataset label, prediction) pair.
+    Reads the K prediction columns in place when ``position``, the row map of the
+    pool that ``ids`` and ``dataset_labels`` come from, is the map they were built
+    over; else gathers them by slot. GD and LD walk one instance's K predictions
+    in turn (walks then share a path), once per distinct pair per call.
     """
     slot, columns = predictions.columns()
-    try:
-        slots = list(map(slot.__getitem__, ids))
-    except KeyError as exc:
-        raise ValidationError(f"no predictions for instance {exc.args[0]!r}") from None
-    rows = zip(*(map(labels.__getitem__, slots) for labels, _ in columns))
+    if slot is not position:
+        slots = list(map(predictions._slot_of, ids))
+        columns = [[list(map(column.__getitem__, slots)) for column in pair] for pair in columns]
+    k = len(columns)
     if kind is StrategyKind.CONFIDENCE:
-        confidences = zip(*(map(column.__getitem__, slots) for _, column in columns))
-        means = list(map(_confidence_mean, dataset_labels, rows, confidences))
-        scale = math.lcm(*{d for _, d in means})
-        return [total * (scale // d) for total, d in means], scale
+        smallest = min(min(filter(None, confs), default=1.0) for _, confs in columns)
+        shift = 53 - math.frexp(smallest)[1]  # 2^shift times each confidence is an int
+        first = min(shift, 1023)  # 2^1024 overflows a float
+        total, count = repeat(0), repeat(0)
+        for labels, confs in columns:
+            scaled = list(map(int, map(math.ldexp, confs, repeat(first))))
+            if shift > first:  # a confidence below about 2^-970: add the bits under 2^-1023
+                low = map(math.ldexp, map(float, scaled), repeat(-first))
+                low = map(int, map(math.ldexp, map(sub, confs, low), repeat(shift)))
+                scaled = map(add, map(lshift, scaled, repeat(shift - first)), low)
+            differs = list(map(ne, labels, dataset_labels))
+            total = list(map(add, total, map(mul, scaled, differs)))
+            count = list(map(add, count, differs))
+        scale = math.lcm(*range(1, k + 1))
+        per_count = [0] + [scale // n for n in range(1, k + 1)]  # 0 models disagree: key 0
+        return list(map(mul, total, map(per_count.__getitem__, count))), scale << shift
     distance = cache(
         hierarchy.tree_distance if kind is StrategyKind.GD else hierarchy.distance_to_lca
     )
-    k = len(columns)
+    rows = zip(*(labels for labels, _ in columns))
     row_labels = chain.from_iterable(map(repeat, dataset_labels, repeat(k)))
     distances = map(distance, row_labels, chain.from_iterable(rows))
     return list(map(sum, zip(*[distances] * k))), k  # one sum per K consecutive distances
+
+
+def _score_one(
+    instance: Instance,
+    predictions: PredictionSet,
+    hierarchy: LabelHierarchy | None,
+    kind: StrategyKind,
+) -> Fraction:
+    keys, denominator = _scores((instance.id,), (instance.label,), predictions, hierarchy, kind)
+    return Fraction(keys[0], denominator)
 
 
 def graph_distance_score(
@@ -106,20 +114,14 @@ def graph_distance_score(
     Models agreeing with the dataset label contribute 0; the mean runs over
     all K models.
     """
-    keys, denominator = _scores(
-        (instance.id,), (instance.label,), predictions, hierarchy, StrategyKind.GD
-    )
-    return Fraction(keys[0], denominator)
+    return _score_one(instance, predictions, hierarchy, StrategyKind.GD)
 
 
 def lca_distance_score(
     instance: Instance, predictions: PredictionSet, hierarchy: LabelHierarchy
 ) -> Fraction:
     """Mean distance from the dataset label up to its LCA with each model's prediction."""
-    keys, denominator = _scores(
-        (instance.id,), (instance.label,), predictions, hierarchy, StrategyKind.LD
-    )
-    return Fraction(keys[0], denominator)
+    return _score_one(instance, predictions, hierarchy, StrategyKind.LD)
 
 
 def confidence_score(instance: Instance, predictions: PredictionSet) -> Fraction:
@@ -128,10 +130,7 @@ def confidence_score(instance: Instance, predictions: PredictionSet) -> Fraction
     0 when every model agrees, so unanimously agreed instances rank last
     among scored ones.
     """
-    keys, denominator = _scores(
-        (instance.id,), (instance.label,), predictions, None, StrategyKind.CONFIDENCE
-    )
-    return Fraction(keys[0], denominator)
+    return _score_one(instance, predictions, None, StrategyKind.CONFIDENCE)
 
 
 @dataclass(frozen=True)
@@ -221,9 +220,10 @@ def rank(
     elif kind is not StrategyKind.CONFIDENCE and hierarchy is None:
         raise ValidationError(f"{kind.value} strategy requires a hierarchy")
     else:
-        keys, denominator = _scores(pool.ids(), pool._labels, predictions, hierarchy, kind)
-    ids = pool.ids()
+        keys, denominator = _scores(
+            pool.ids(), pool._labels, predictions, hierarchy, kind, pool._position
+        )
     order = pool._id_order.copy()  # the stable sort below keeps ties in ascending id order
     order.sort(key=keys.__getitem__, reverse=True)
-    ids, keys = tuple(map(ids.__getitem__, order)), tuple(map(keys.__getitem__, order))
+    ids, keys = tuple(map(pool._ids.__getitem__, order)), tuple(map(keys.__getitem__, order))
     return RankedList(kind, ids, keys, denominator)

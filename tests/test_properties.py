@@ -10,7 +10,9 @@ code with evaluate.
 Ranking: on random trees, every strategy orders the pool by (score
 descending, id ascending), with scores recomputed from the BFS and
 ancestor-set oracles in helpers; efficiency and Jaccard curves keep their
-bounds, endpoints, monotonicity and symmetry. CLI fuzz: command lines
+bounds, endpoints, monotonicity and symmetry. Confidence keys: over
+confidences down to subnormals, each key over the ranking's denominator is
+exactly the mean of the disagreeing models' confidences. CLI fuzz: command lines
 drawn from the CLI grammar, each flag left out or given a valid or a hostile
 value, run in process on a tiny synth bundle.
 """
@@ -47,6 +49,7 @@ from reannotate import (
     StrategyKind,
     ValidationError,
     apply_reannotation,
+    confidence_score,
     efficiency_curve,
     f1_curve,
     jaccard_curve,
@@ -497,6 +500,46 @@ def test_rank_and_curves_on_random_trees(case):
             assert overlap == jaccard_curve(other, ranking, schedule).values()
             assert overlap[0] == 1 and overlap[-1] == 1
             assert all(0 <= value <= 1 for value in overlap)
+
+
+# -- exact confidence keys ----------------------------------------------------
+
+# 0.0 and -0.0 leave the shift alone, 1.0 is the largest confidence, and the
+# rest (a subnormal, the smallest normal, 1e-300) need a shift past 1023
+EDGE_CONFIDENCES = [0.0, -0.0, 1.0, 5e-324, 2.2250738585072014e-308, 1e-300]
+SUBNORMALS = st.floats(min_value=5e-324, max_value=2.2250738585072014e-308, exclude_max=True)
+
+
+@st.composite
+def confidence_cases(draw):
+    """A pool labeled A or B and K models predicting A, B or C with edge confidences."""
+    spread = draw(st.booleans())  # one column holds both 1.0 and a subnormal
+    n, k = draw(st.integers(2 if spread else 1, 8)), draw(st.integers(1, 4))
+    pool_labels = {f"e{i}": draw(st.sampled_from("AB")) for i in range(n)}
+    confidence = st.floats(0, 1) | st.sampled_from(EDGE_CONFIDENCES)
+    columns = [
+        {iid: (draw(st.sampled_from("ABC")), draw(confidence)) for iid in pool_labels}
+        for _ in range(k)
+    ]
+    if spread:  # C never equals a dataset label, so both values count in their means
+        column = columns[draw(st.integers(0, k - 1))]
+        top, tiny = draw(st.permutations(sorted(pool_labels)))[:2]
+        column[top], column[tiny] = ("C", 1.0), ("C", draw(SUBNORMALS))
+    pool = make_pool(pool_labels)
+    return pool, make_predictions(pool, {f"m{j}": c for j, c in enumerate(columns)})
+
+
+@SETTINGS
+@given(case=confidence_cases())
+def test_confidence_keys_are_exact_means(case):
+    pool, preds = case
+    ranking = rank(pool, preds, None, StrategyKind.CONFIDENCE)
+    for iid, key in zip(ranking.ids, ranking.keys):
+        instance = pool.get(iid)
+        found = preds.for_instance(iid)
+        disagreeing = [Fraction(rec.confidence) for rec in found if rec.label != instance.label]
+        mean = sum(disagreeing) / len(disagreeing) if disagreeing else Fraction(0)
+        assert Fraction(key, ranking.denominator) == mean == confidence_score(instance, preds)
 
 
 # -- CLI fuzz -----------------------------------------------------------------

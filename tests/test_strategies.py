@@ -154,6 +154,28 @@ def test_rank_reordered_pool_keeps_each_score(excerpt, kind):
     assert len(set(in_order.values())) == 3
 
 
+@pytest.mark.parametrize("kind", [StrategyKind.GD, StrategyKind.LD, StrategyKind.CONFIDENCE])
+def test_rank_gathers_predictions_built_over_another_pool(excerpt, kind):
+    # the columns are read in place only over the pool they were built over
+    rng = random.Random(5)
+    labels = ["per:parent", "per:age", "per:family", "no_relation"]
+    dataset = {f"e{i}": rng.choice(labels) for i in range(12)}
+    pool = make_pool(dataset)
+    preds = make_predictions(pool, {
+        m: {iid: (rng.choice(labels), rng.random()) for iid in dataset} for m in ("m1", "m2", "m3")
+    })
+    shuffled = rng.sample(sorted(dataset), len(dataset))
+    other = make_pool({iid: dataset[iid] for iid in shuffled})
+    own, moved = rank(pool, preds, excerpt, kind), rank(other, preds, excerpt, kind)
+    assert moved.ids == own.ids
+    assert [Fraction(k, moved.denominator) for k in moved.keys] == [
+        Fraction(k, own.denominator) for k in own.keys
+    ]
+    larger = make_pool({**{iid: dataset[iid] for iid in shuffled}, "x1": "per:age"})
+    with pytest.raises(ValidationError, match="no predictions for instance 'x1'"):
+        rank(larger, preds, excerpt, kind)
+
+
 def test_rank_requires_predictions():
     pool = make_pool({"e1": "a"})
     with pytest.raises(ValidationError, match="predictions"):
