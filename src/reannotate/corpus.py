@@ -11,8 +11,8 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress, islice, repeat
-from operator import itemgetter, le, ne
+from itertools import compress, count, repeat
+from operator import itemgetter, le, methodcaller, ne
 from pathlib import Path
 from typing import Any, Iterable, Iterator, KeysView, Mapping, NamedTuple
 
@@ -21,9 +21,9 @@ from .hierarchy import LabelHierarchy, _read_json
 
 POOL_FORMATS = ("jsonl", "tacred")
 _PARTITIONS = ("train", "dev", "test")
-_POOL_FIELDS = ("id", "relation", "partition")
-#: Lines per bulk parse: parsing a whole predictions file at once peaks near
-#: three times what the loaded set keeps.
+#: Lines per parse and per column check. A chunk's parsed dicts are dropped
+#: once its columns are placed, and a chunk the checks doubt costs at most this
+#: many record-by-record checks.
 _CHUNK = 256
 
 
@@ -64,6 +64,11 @@ class ReannotationPool:
         metadata: dict[int, Mapping[str, Any]] = {}
         for inst in instances:
             if inst.metadata:
+                for key, *_ in _POOL_FIELDS:
+                    if key in inst.metadata:  # write_pool would write it over the field
+                        raise ValidationError(
+                            f"instance {inst.id!r} has pool field {key!r} in its metadata"
+                        )
                 metadata[len(ids)] = inst.metadata
             ids.append(inst.id)
             labels.append(inst.label)
@@ -172,28 +177,19 @@ class PredictionSet:
     """
 
     def __init__(self, records: Iterable[PredictionRecord], pool: ReannotationPool) -> None:
-        position = pool._position
-        # per model, a label and a confidence column in pool order; a filled slot is a duplicate
-        columns: dict[str, tuple[list[str | None], list[float | None]]] = {}
-        for model, iid, label, conf in records:
-            if not 0.0 <= conf <= 1.0:
-                raise ValidationError(
-                    f"confidence {conf!r} out of [0, 1] (model {model!r}, instance {iid!r})"
-                )
-            slot = position.get(iid)
-            if slot is None:
-                raise ValidationError(
-                    f"prediction for unknown instance {iid!r} (model {model!r})"
-                )
-            column = columns.get(model)
-            if column is None:
-                column = columns[model] = ([None] * len(position), [None] * len(position))
-            if column[1][slot] is not None:
-                raise ValidationError(
-                    f"duplicate prediction for model {model!r}, instance {iid!r}"
-                )
-            column[0][slot] = label
-            column[1][slot] = conf
+        columns: _PredictionColumns = {}
+        for record in records:
+            _place_prediction(columns, pool._position, *record)
+        self._set_columns(pool, columns)
+
+    @classmethod
+    def _from_columns(cls, pool: ReannotationPool, columns: _PredictionColumns) -> PredictionSet:
+        predictions = cls.__new__(cls)
+        predictions._set_columns(pool, columns)
+        return predictions
+
+    def _set_columns(self, pool: ReannotationPool, columns: _PredictionColumns) -> None:
+        """Check that every slot is filled, then keep each model's columns as tuples."""
         if not columns:
             raise ValidationError("no prediction records")
         missing = sum(confs.count(None) for _, confs in columns.values())
@@ -204,20 +200,10 @@ class PredictionSet:
                 f"incomplete predictions: {missing} missing (model, instance) "
                 f"pairs, first {first}"
             )
-        self._slot = position
-        self._columns = {m: (tuple(lc), tuple(cc)) for m, (lc, cc) in columns.items()}
-
-    @classmethod
-    def _from_columns(
-        cls,
-        pool: ReannotationPool,
-        columns: dict[str, tuple[tuple[str, ...], tuple[float, ...]]],
-    ) -> PredictionSet:
-        """A set over per-model columns in pool order that the caller found complete and valid."""
-        predictions = cls.__new__(cls)
-        predictions._slot = pool._position
-        predictions._columns = columns
-        return predictions
+        for model, (labels, confs) in columns.items():  # one model's lists at a time
+            columns[model] = (tuple(labels), tuple(confs))
+        self._slot = pool._position
+        self._columns = columns
 
     @property
     def model_ids(self) -> tuple[str, ...]:
@@ -270,6 +256,34 @@ class PredictionSet:
         return set().union(*(labels for labels, _ in self._columns.values()))
 
 
+#: per model, a label and a confidence column in pool order; None marks an empty slot
+_PredictionColumns = dict[str, tuple[list[str | None], list[float | None]]]
+
+
+def _place_prediction(
+    columns: _PredictionColumns, position: Mapping[str, int], model: str, iid: str,
+    label: str, conf: float,
+) -> None:
+    if not 0.0 <= conf <= 1.0:
+        raise ValidationError(
+            f"confidence {conf!r} out of [0, 1] (model {model!r}, instance {iid!r})"
+        )
+    slot = position.get(iid)
+    if slot is None:
+        raise ValidationError(
+            f"prediction for unknown instance {iid!r} (model {model!r})"
+        )
+    column = columns.get(model)
+    if column is None:
+        column = columns[model] = ([None] * len(position), [None] * len(position))
+    if column[1][slot] is not None:
+        raise ValidationError(
+            f"duplicate prediction for model {model!r}, instance {iid!r}"
+        )
+    column[0][slot] = label
+    column[1][slot] = conf
+
+
 @dataclass(frozen=True)
 class GoldRecord:
     """Ground-truth relabel for one instance, or the ELIMINATED marker."""
@@ -294,13 +308,7 @@ class GoldSet:
     def __init__(self, records: Iterable[GoldRecord], pool: ReannotationPool) -> None:
         gold: dict[str, str | _EliminatedType] = {}
         for rec in records:
-            if rec.instance_id not in pool:
-                raise ValidationError(f"gold record for unknown instance {rec.instance_id!r}")
-            if rec.instance_id in gold:
-                raise ValidationError(f"duplicate gold record for {rec.instance_id!r}")
-            if not rec.is_eliminated and not rec.gold:
-                raise ValidationError(f"empty gold label for {rec.instance_id!r}")
-            gold[rec.instance_id] = rec.gold
+            _place_gold(gold, pool._position, rec.instance_id, rec.gold)
         self._set_gold(gold, pool)
 
     @classmethod
@@ -340,139 +348,162 @@ class GoldSet:
         return tuple(map(GoldRecord, self._gold, self._gold.values()))
 
 
+def _place_gold(
+    gold: dict[str, str | _EliminatedType], position: Mapping[str, int], iid: str,
+    value: str | _EliminatedType,
+) -> None:
+    if iid not in position:
+        raise ValidationError(f"gold record for unknown instance {iid!r}")
+    if iid in gold:
+        raise ValidationError(f"duplicate gold record for {iid!r}")
+    if not isinstance(value, _EliminatedType) and not value:
+        raise ValidationError(f"empty gold label for {iid!r}")
+    gold[iid] = value
+
+
 # -- file loading --------------------------------------------------------
 #
-# Each JSON Lines loader tries the bulk path first. It only accepts: on any
-# doubt it raises _Unsure, keeps nothing, and the per-line path reads the file
-# again and words the error, so messages never depend on which path ran.
+# Each loader checks records a chunk at a time (_CHUNK lines, or a whole tacred
+# array) against the field table of their kind, column by column. A chunk those
+# checks doubt is checked and placed record by record, which words the first
+# defect, so the first defective record in read order decides the error either
+# way. A field: (key, the types its value may have, their wording, key required).
+_POOL_FIELDS = (
+    ("id", frozenset({str}), "a string", True),
+    ("relation", frozenset({str}), "a string", True),
+    ("partition", frozenset({str, type(None)}), "a string", False),
+)
+_POOL_KEYS = frozenset(key for key, *_ in _POOL_FIELDS)
+_PREDICTION_FIELDS = (
+    ("model", frozenset({str}), "a string", True),
+    ("id", frozenset({str}), "a string", True),
+    ("label", frozenset({str}), "a string", True),
+    ("confidence", frozenset({int, float}), "a number", True),  # a bool is no number here
+)
+_GOLD_FIELDS = (
+    ("id", frozenset({str}), "a string", True),
+    ("gold", frozenset({str, type(None)}), "a string or null", True),
+)
 
 
-class _Unsure(Exception):
-    """The bulk path cannot vouch for an input; the per-line path reads it instead."""
+def _checked(obj: dict, fields: tuple, where: str) -> list:
+    """The record's field values in table order; the first defective field is a ParseError."""
+    values = []
+    for key, types, must_be, required in fields:
+        if required and key not in obj:
+            raise ParseError(f"{where}: missing field {key!r}")
+        value = obj.get(key)
+        if type(value) not in types:
+            raise ParseError(f"{where}: field {key!r} must be {must_be}")
+        values.append(value)
+    return values
 
 
-def _flat_chunks(path: Path) -> Iterator[list[dict]]:
-    """Parse a flat JSON Lines file in bulk, one dict per non-blank line, _CHUNK lines at a time.
+def _columns(records: list, fields: tuple) -> list[list] | None:
+    """Each field's column over the records, or None when _checked would refuse one."""
+    columns = []
+    for key, types, _, required in fields:
+        try:
+            column = list(map(itemgetter(key) if required else methodcaller("get", key), records))
+        except (KeyError, TypeError):  # TypeError: an entry that is no object
+            return None
+        if not types.issuperset(map(type, column)):
+            return None
+        columns.append(column)
+    return columns
 
-    Flat: no "[" in the file and exactly one "{" and one "}" on each non-blank
-    line. N parsed dicts then use up all N braces, so no object nests, no
-    string holds a brace and each object lies on its own line: the records the
-    per-line path reads. Raises _Unsure on anything else and on a file without
-    records.
+
+def _flat(chunk: list[str]) -> list[dict] | None:
+    """The records of a flat chunk from one json.loads, or None when the chunk is not flat.
+
+    Flat: no "[" in the chunk and exactly one "{" and one "}" on each non-blank
+    line. N parsed dicts then use up all N braces, so no object nests, no string
+    holds a brace and each object lies on its own line: the records a line by
+    line decode reads.
     """
-    empty = True
+    lines = list(filter(str.strip, chunk))
+    text = ",".join(lines)
+    if (
+        "[" in text
+        or set(map(str.count, lines, repeat("{"))) != {1}
+        or set(map(str.count, lines, repeat("}"))) != {1}
+    ):
+        return None
     try:
-        with open(path, encoding="utf-8") as fh:
-            while chunk := list(islice(fh, _CHUNK)):
-                lines = list(filter(str.strip, chunk))
-                if not lines:
-                    continue
-                text = ",".join(lines)
-                if (
-                    "[" in text
-                    or set(map(str.count, lines, repeat("{"))) != {1}
-                    or set(map(str.count, lines, repeat("}"))) != {1}
-                ):
-                    raise _Unsure
-                objs = json.loads(f"[{text}]")
-                if len(objs) != len(lines) or set(map(type, objs)) != {dict}:
-                    raise _Unsure
-                empty = False
-                yield objs
-    except (OSError, ValueError):  # incl. invalid UTF-8 or JSON and over-long ints
-        raise _Unsure from None
-    if empty:
-        raise _Unsure
+        records = json.loads(f"[{text}]")
+    except ValueError:  # incl. over-long ints
+        return None
+    if len(records) != len(lines) or set(map(type, records)) != {dict}:
+        return None
+    return records
 
 
-def _columns(objs: list[dict], *keys: str) -> list[list]:
-    try:
-        return [list(map(itemgetter(key), objs)) for key in keys]
-    except KeyError:
-        raise _Unsure from None
+def _jsonl_chunks(path: Path, bulk: bool) -> Iterator[tuple[list[dict], Iterator[str]]]:
+    r"""Per _CHUNK lines, their records and each record's "path:line".
 
-
-def _require_types(column: list, *types: type) -> None:
-    if not set(map(type, column)).issubset(types):
-        raise _Unsure
-
-
-def _iter_jsonl(path: Path) -> Iterator[tuple[str, dict]]:
-    r"""Yield ("path:line", record) per non-blank line; records must be objects.
-
-    Only "\n" ends a line (read_text maps "\r\n" and "\r" to it), so U+2028, U+2029
-    and U+0085 may stand in strings. Read whole, so no handle outlives a caller that stops.
+    Read whole, so an invalid UTF-8 byte decides before any record. Only "\n"
+    ends a line (read_text maps "\r\n" and "\r" to it), so U+2028, U+2029 and
+    U+0085 may stand in strings. A bad line raises once the records above it are taken.
     """
     try:
-        text = path.read_text(encoding="utf-8")
+        lines = path.read_text(encoding="utf-8").split("\n")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not valid UTF-8: {exc}") from exc
-    decode = json.JSONDecoder().raw_decode
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        where = f"{path}:{lineno}"
-        try:
-            obj, end = decode(line)
-        except (ValueError, RecursionError):
-            end = -1
-        if end != len(line):  # blank, padded or invalid: json.loads decides and words errors
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except (ValueError, RecursionError) as exc:  # incl. over-long ints
-                raise ParseError(f"{where}: invalid JSON: {exc}") from exc
-        if not isinstance(obj, dict):
-            raise ParseError(f"{where}: record is not an object")
-        yield where, obj
+    for start in range(0, len(lines), _CHUNK):
+        chunk = lines[start : start + _CHUNK]
+        numbers = compress(count(start + 1), map(str.strip, chunk))  # of the non-blank lines
+        wheres = map("{}:{}".format, repeat(path), numbers)
+        records = _flat(chunk) if bulk else None
+        if records is None:
+            records = []
+            for lineno, line in compress(enumerate(chunk, start + 1), map(str.strip, chunk)):
+                try:
+                    obj = json.loads(line)
+                except (ValueError, RecursionError) as exc:  # incl. over-long ints
+                    yield records, wheres  # the records above a bad line go first
+                    raise ParseError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+                if not isinstance(obj, dict):
+                    yield records, wheres
+                    raise ParseError(f"{path}:{lineno}: record is not an object")
+                records.append(obj)
+        yield records, wheres
 
 
-def _require_str(obj: dict, key: str, where: str) -> str:
-    if key not in obj:
-        raise ParseError(f"{where}: missing field {key!r}")
-    value = obj[key]
-    if not isinstance(value, str):
-        raise ParseError(f"{where}: field {key!r} must be a string")
-    return value
-
-
-def _instance_from_record(obj: dict, where: str) -> Instance:
-    iid = _require_str(obj, "id", where)
-    label = _require_str(obj, "relation", where)
-    partition = obj.get("partition")
-    if partition is not None:
-        if not isinstance(partition, str):
-            raise ParseError(f"{where}: field 'partition' must be a string")
-        partition = partition.lower()
-    metadata = {k: v for k, v in obj.items() if k not in _POOL_FIELDS}
-    return Instance(iid, label, partition=partition, metadata=metadata)
-
-
-def _pool_in_bulk(path: Path) -> ReannotationPool:
+def _read_pool(path: Path, format: str, bulk: bool) -> ReannotationPool:
+    if format == "jsonl":
+        chunks = _jsonl_chunks(path, bulk)
+    elif format == "tacred":
+        doc = _read_json(path)
+        if not isinstance(doc, list):
+            raise ParseError(f"{path}: expected a JSON array of instance objects")
+        chunks = [(doc, map("{}: entry {}".format, repeat(path), count()))]  # parsed whole
+    else:
+        raise ValidationError(f"unknown pool format {format!r}, expected one of {POOL_FORMATS}")
     ids: list[str] = []
     labels: list[str] = []
     partitions: list[str | None] = []
     metadata: dict[int, Mapping[str, Any]] = {}
-    for objs in _flat_chunks(path):
-        chunk_ids, chunk_labels = _columns(objs, "id", "relation")
-        _require_types(chunk_ids, str)
-        _require_types(chunk_labels, str)
-        chunk_partitions = list(map(dict.get, objs, repeat("partition")))
-        _require_types(chunk_partitions, str, type(None))
+    for records, wheres in chunks:
+        columns = bulk and _columns(records, _POOL_FIELDS)
+        if not columns:  # word the first defect, if any
+            for obj, where in zip(records, wheres):
+                if not isinstance(obj, dict):  # only a tacred entry can be other
+                    raise ParseError(f"{where} is not an object")
+                _checked(obj, _POOL_FIELDS, where)
+            columns = _columns(records, _POOL_FIELDS)
+        chunk_ids, chunk_labels, chunk_partitions = columns
         lowered = {p: p if p is None else p.lower() for p in set(chunk_partitions)}
-        for row, obj in enumerate(objs, start=len(ids)):
-            if len(obj) > 2 + ("partition" in obj):
-                metadata[row] = {k: v for k, v in obj.items() if k not in _POOL_FIELDS}
+        for row, obj in enumerate(records, start=len(ids)):
+            if len(obj) > 2 + ("partition" in obj):  # keys beyond the pool fields
+                metadata[row] = {k: v for k, v in obj.items() if k not in _POOL_KEYS}
         ids += chunk_ids
         labels += chunk_labels
         partitions += map(lowered.__getitem__, chunk_partitions)
-    try:
-        return ReannotationPool._from_columns(ids, labels, partitions, metadata)
-    except ValidationError:
-        raise _Unsure from None
+    return ReannotationPool._from_columns(ids, labels, partitions, metadata)
 
 
 def _pool_by_line(path: Path) -> ReannotationPool:
-    return ReannotationPool(_instance_from_record(obj, where) for where, obj in _iter_jsonl(path))
+    return _read_pool(path, "jsonl", bulk=False)
 
 
 def load_pool(source: str | Path, format: str = "jsonl") -> ReannotationPool:
@@ -483,23 +514,7 @@ def load_pool(source: str | Path, format: str = "jsonl") -> ReannotationPool:
     ``tacred``: a single JSON array of objects with fields id and relation,
     other fields kept opaquely.
     """
-    path = Path(source)
-    if format == "jsonl":
-        try:
-            return _pool_in_bulk(path)
-        except _Unsure:
-            return _pool_by_line(path)
-    if format != "tacred":
-        raise ValidationError(f"unknown pool format {format!r}, expected one of {POOL_FORMATS}")
-    doc = _read_json(path)
-    if not isinstance(doc, list):
-        raise ParseError(f"{path}: expected a JSON array of instance objects")
-    instances = []
-    for i, obj in enumerate(doc):
-        if not isinstance(obj, dict):
-            raise ParseError(f"{path}: entry {i} is not an object")
-        instances.append(_instance_from_record(obj, f"{path}: entry {i}"))
-    return ReannotationPool(instances)
+    return _read_pool(Path(source), format, bulk=True)
 
 
 def write_pool(pool: ReannotationPool, target: str | Path) -> None:
@@ -513,81 +528,62 @@ def write_pool(pool: ReannotationPool, target: str | Path) -> None:
             fh.write(json.dumps(obj) + "\n")
 
 
-def _iter_predictions(sources: Iterable[Path]) -> Iterator[tuple[str, str, str, float]]:
-    read_from: dict[str, Path] = {}
-    for path in sources:
-        file_model: str | None = None
-        for where, obj in _iter_jsonl(path):
-            model = _require_str(obj, "model", where)
-            iid = _require_str(obj, "id", where)
-            label = _require_str(obj, "label", where)
-            if "confidence" not in obj:
-                raise ParseError(f"{where}: missing field 'confidence'")
-            conf = obj["confidence"]
-            if isinstance(conf, bool) or not isinstance(conf, (int, float)):
-                raise ParseError(f"{where}: field 'confidence' must be a number")
-            if file_model is None:
-                if model in read_from:
-                    raise ValidationError(
-                        f"{path}: model {model!r} was already read from {read_from[model]}"
-                    )
-                file_model = model
-                read_from[model] = path
-            elif model != file_model:
-                raise ValidationError(
-                    f"{path}: mixes model ids {file_model!r} and {model!r}; "
-                    f"one predictions file per model"
-                )
-            try:
-                conf = float(conf)
-            except OverflowError:
-                raise ValidationError(f"{where}: confidence out of [0, 1]") from None
-            yield model, iid, label, conf
-        if file_model is None:
-            raise ValidationError(f"{path}: no prediction records")
-
-
-def _predictions_in_bulk(paths: list[Path], pool: ReannotationPool) -> PredictionSet:
-    """Complete files of float confidences in [0, 1], one new model each, any row order."""
+def _read_predictions(paths: list[Path], pool: ReannotationPool, bulk: bool) -> PredictionSet:
     position = pool._position
-    columns: dict[str, tuple[tuple[str, ...], tuple[float, ...]]] = {}
+    columns: _PredictionColumns = {}
+    read_from: dict[str, Path] = {}
     for path in paths:
-        labels: list[str | None] = [None] * len(position)
-        confs: list[float | None] = [None] * len(position)
-        model = None
-        rows = 0
-        for objs in _flat_chunks(path):
-            models, ids, chunk_labels, chunk_confs = _columns(
-                objs, "model", "id", "label", "confidence"
-            )
-            for column in (models, ids, chunk_labels):
-                _require_types(column, str)
-            _require_types(chunk_confs, float)  # ints and bools go by line
-            model = models[0] if model is None else model
-            slots = list(map(position.get, ids))
-            if (
-                set(models) != {model}
-                or model in columns
-                or None in slots
-                # False for NaN too
-                or not all(map(le, repeat(0.0), chunk_confs))
-                or not all(map(le, chunk_confs, repeat(1.0)))
-            ):
-                raise _Unsure
-            deque(map(labels.__setitem__, slots, chunk_labels), maxlen=0)
-            deque(map(confs.__setitem__, slots, chunk_confs), maxlen=0)
-            rows += len(slots)
-        # as many rows as slots and none left empty: each instance exactly once
-        if rows != len(position) or None in confs:
-            raise _Unsure
-        columns[model] = (tuple(labels), tuple(confs))
-    if not columns:
-        raise _Unsure
+        model = None  # the file's, from its first record on
+        for records, wheres in _jsonl_chunks(path, bulk):
+            fields = bulk and records and _columns(records, _PREDICTION_FIELDS)
+            if fields and model is None and fields[0][0] not in read_from:
+                model = fields[0][0]
+                read_from[model] = path
+                columns[model] = ([None] * len(position), [None] * len(position))
+            if fields and model is not None:  # by now, the model's columns exist
+                models, ids, labels, confs = fields
+                slots = list(map(position.get, ids))
+                column_labels, column_confs = columns[model]
+                if (
+                    set(models) == {model}
+                    and set(map(type, confs)) == {float}  # ints go by record, to become floats
+                    # False for NaN too
+                    and all(map(le, repeat(0.0), confs))
+                    and all(map(le, confs, repeat(1.0)))
+                    # every id known and none twice, and no slot filled by an earlier chunk
+                    and len({None, *slots}) == len(slots) + 1
+                    and set(map(column_confs.__getitem__, slots)) == {None}
+                ):
+                    deque(map(column_labels.__setitem__, slots, labels), maxlen=0)
+                    deque(map(column_confs.__setitem__, slots, confs), maxlen=0)
+                    continue
+            for obj, where in zip(records, wheres):
+                record_model, iid, label, conf = _checked(obj, _PREDICTION_FIELDS, where)
+                if model is None:
+                    if record_model in read_from:
+                        raise ValidationError(
+                            f"{path}: model {record_model!r} was already read from "
+                            f"{read_from[record_model]}"
+                        )
+                    model = record_model
+                    read_from[model] = path
+                elif record_model != model:
+                    raise ValidationError(
+                        f"{path}: mixes model ids {model!r} and {record_model!r}; "
+                        f"one predictions file per model"
+                    )
+                try:
+                    conf = float(conf)
+                except OverflowError:
+                    raise ValidationError(f"{where}: confidence out of [0, 1]") from None
+                _place_prediction(columns, position, model, iid, label, conf)
+        if model is None:
+            raise ValidationError(f"{path}: no prediction records")
     return PredictionSet._from_columns(pool, columns)
 
 
 def _predictions_by_line(paths: list[Path], pool: ReannotationPool) -> PredictionSet:
-    return PredictionSet(_iter_predictions(paths), pool)
+    return _read_predictions(paths, pool, bulk=False)
 
 
 def load_predictions(
@@ -599,11 +595,7 @@ def load_predictions(
     holds exactly one model, and no other file uses that model. Records go
     to the set as they are read, so the first defective one decides the error.
     """
-    paths = list(map(Path, sources))
-    try:
-        return _predictions_in_bulk(paths, pool)
-    except _Unsure:
-        return _predictions_by_line(paths, pool)
+    return _read_predictions(list(map(Path, sources)), pool, bulk=True)
 
 
 def write_predictions(
@@ -621,43 +613,35 @@ def write_predictions(
             fh.write(json.dumps(obj) + "\n")
 
 
-def _gold_from_record(obj: dict, where: str) -> GoldRecord:
-    iid = _require_str(obj, "id", where)
-    if "gold" not in obj:
-        raise ParseError(f"{where}: missing field 'gold'")
-    gold = obj["gold"]
-    if gold is not None and not isinstance(gold, str):
-        raise ParseError(f"{where}: field 'gold' must be a string or null")
-    return GoldRecord(iid, ELIMINATED if gold is None else gold)
-
-
-def _gold_in_bulk(path: Path, pool: ReannotationPool) -> GoldSet:
+def _read_gold(path: Path, pool: ReannotationPool, bulk: bool) -> GoldSet:
+    position = pool._position
     gold: dict[str, str | _EliminatedType] = {}
-    rows = 0
-    for objs in _flat_chunks(path):
-        ids, values = _columns(objs, "id", "gold")
-        _require_types(ids, str)
-        _require_types(values, str, type(None))
-        if "" in values or not all(map(pool._position.__contains__, ids)):
-            raise _Unsure
-        gold.update(zip(ids, [ELIMINATED if value is None else value for value in values]))
-        rows += len(ids)
-    if rows != len(gold):  # an id repeated
-        raise _Unsure
+    for records, wheres in _jsonl_chunks(path, bulk):
+        fields = bulk and _columns(records, _GOLD_FIELDS)
+        if fields:
+            ids, values = fields
+            chunk_gold = dict(zip(ids, [ELIMINATED if v is None else v for v in values]))
+            if (
+                "" not in values
+                and len(chunk_gold) == len(ids)  # no id twice
+                and all(map(position.__contains__, ids))
+                and gold.keys().isdisjoint(chunk_gold)
+            ):
+                gold.update(chunk_gold)
+                continue
+        for obj, where in zip(records, wheres):
+            iid, value = _checked(obj, _GOLD_FIELDS, where)
+            _place_gold(gold, position, iid, ELIMINATED if value is None else value)
     return GoldSet._from_values(gold, pool)
 
 
 def _gold_by_line(path: Path, pool: ReannotationPool) -> GoldSet:
-    return GoldSet((_gold_from_record(obj, where) for where, obj in _iter_jsonl(path)), pool)
+    return _read_gold(path, pool, bulk=False)
 
 
 def load_gold(source: str | Path, pool: ReannotationPool) -> GoldSet:
     """Load gold relabels: jsonl records with fields id and gold (null = eliminated)."""
-    path = Path(source)
-    try:
-        return _gold_in_bulk(path, pool)
-    except _Unsure:
-        return _gold_by_line(path, pool)
+    return _read_gold(Path(source), pool, bulk=True)
 
 
 def write_gold(gold: GoldSet, target: str | Path) -> None:

@@ -1,4 +1,6 @@
+import builtins
 import gc
+import io
 import json
 import random
 import tracemalloc
@@ -508,8 +510,7 @@ TRAPS = [
 def test_bulk_parse_refuses_records_that_are_not_one_per_line(tmp_path, lines):
     path = tmp_path / "p.jsonl"
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(corpus._Unsure):
-        list(corpus._flat_chunks(path))
+    assert corpus._flat(lines) is None
     with pytest.raises(ParseError) as info:
         load_pool(path)
     assert str(info.value).startswith(f"{path}:1: invalid JSON: ")
@@ -539,21 +540,59 @@ def _flat_bundle(tmp_path):
 def test_complete_shuffled_files_take_the_bulk_path(tmp_path, monkeypatch):
     pool_path, prediction_paths, gold_path = _flat_bundle(tmp_path)
     pool = corpus._pool_by_line(pool_path)
-    expected = [
-        loader_outcome(corpus._pool_by_line, pool_path),
-        loader_outcome(corpus._predictions_by_line, prediction_paths, pool),
-        loader_outcome(corpus._gold_by_line, gold_path, pool),
-    ]
 
-    def refuse(path):
-        raise AssertionError(f"{path} was read line by line")
+    def no_flat(chunk):
+        raise AssertionError("a per-line loader took the flat parse")
 
-    monkeypatch.setattr(corpus, "_iter_jsonl", refuse)
+    with monkeypatch.context() as patch:
+        patch.setattr(corpus, "_flat", no_flat)
+        expected = [
+            loader_outcome(corpus._pool_by_line, pool_path),
+            loader_outcome(corpus._predictions_by_line, prediction_paths, pool),
+            loader_outcome(corpus._gold_by_line, gold_path, pool),
+        ]
+
+    def refuse(obj, fields, where):
+        raise AssertionError(f"{where} was checked record by record")
+
+    def flat(chunk):
+        records = real_flat(chunk)
+        assert records is not None, "a flat chunk was decoded line by line"
+        parsed.extend(records)
+        return records
+
+    real_flat = corpus._flat
+    parsed = []
+    monkeypatch.setattr(corpus, "_checked", refuse)
+    monkeypatch.setattr(corpus, "_flat", flat)
     assert [
         loader_outcome(load_pool, pool_path),
         loader_outcome(load_predictions, prediction_paths, pool),
         loader_outcome(load_gold, gold_path, pool),
     ] == expected
+    assert len(parsed) == 600 + 2 * 600 + 300  # every record came from the flat parse
+
+
+# Defects at the edges of the 256-line chunks: the last row of the first chunk,
+# the first of the second and the last of the file (gold holds 300 rows).
+CHUNK_EDGES = [
+    *(
+        (kind, row, key, value)
+        for row in (255, 256, 599)
+        for kind, key, value in [
+            ("pool", "id", "repeat"),
+            ("predictions", "id", "repeat"),
+            ("predictions", "id", "ghost"),
+            ("predictions", "confidence", 1.5),
+            ("predictions", "confidence", 1),
+        ]
+    ),
+    *(
+        ("gold", row, key, value)
+        for row in (255, 256, 299)
+        for key, value in [("id", "repeat"), ("id", "ghost"), ("gold", "")]
+    ),
+]
 
 
 # One defect on an otherwise flat, complete file. load_* answers exactly as the
@@ -584,6 +623,7 @@ def test_complete_shuffled_files_take_the_bulk_path(tmp_path, monkeypatch):
     ("gold", 5, "gold", ""),
     ("gold", 5, "gold", 3),
     ("gold", 5, None, None),
+    *CHUNK_EDGES,
 ])
 def test_bulk_path_leaves_each_defect_to_the_per_line_path(tmp_path, kind, row, key, value):
     pool_path, prediction_paths, gold_path = _flat_bundle(tmp_path)
@@ -602,8 +642,133 @@ def test_bulk_path_leaves_each_defect_to_the_per_line_path(tmp_path, kind, row, 
     }[kind]
     expected = loader_outcome(by_line, *args)
     assert loader_outcome(load, *args) == expected
-    if isinstance(expected, tuple):  # an error
-        bulk = {"pool": corpus._pool_in_bulk, "predictions": corpus._predictions_in_bulk,
-                "gold": corpus._gold_in_bulk}[kind]
-        with pytest.raises(corpus._Unsure):
-            bulk(*args)
+
+
+# The same defects with an invalid JSON line three rows below. Its chunk is
+# decoded line by line, and a defect above it still decides, except in the
+# pool, whose ids and labels are checked once every line is read.
+@pytest.mark.parametrize("kind, row, key, value", CHUNK_EDGES)
+def test_a_defect_decides_before_an_invalid_line_below_it(tmp_path, kind, row, key, value):
+    pool_path, prediction_paths, gold_path = _flat_bundle(tmp_path)
+    path = {"pool": pool_path, "predictions": prediction_paths[1], "gold": gold_path}[kind]
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[row])
+    record[key] = json.loads(lines[0])[key] if value == "repeat" else value
+    lines[row] = json.dumps(record)
+    lines.insert(row + 3, "{bad")
+    path.write_text("\n".join(lines) + "\n")
+    pool = corpus._pool_by_line(pool_path) if kind != "pool" else None
+    load, by_line, args = {
+        "pool": (load_pool, corpus._pool_by_line, [path]),
+        "predictions": (load_predictions, corpus._predictions_by_line, [prediction_paths, pool]),
+        "gold": (load_gold, corpus._gold_by_line, [path, pool]),
+    }[kind]
+    expected = loader_outcome(by_line, *args)
+    assert ("invalid JSON" in expected[1]) == (kind == "pool" or value == 1)
+    assert loader_outcome(load, *args) == expected
+
+
+# Read order, pinned by message rather than against the per-line loaders: the
+# first defect in read order decides, whether its chunk (rows 0-255, 256-511,
+# ...) took the column checks or was placed record by record. Each case: the
+# kind, {row: {key: value}} (("row", n) copies row n's value), blank lines put
+# before the file's records, and the error with {path}, {other} (the m1 file)
+# and {ids[n]} (row n's id) filled in.
+READ_ORDER = [
+    ("predictions", {300: {"id": "ghost"}, 400: {"confidence": "x"}}, 0,
+     (ValidationError, "prediction for unknown instance 'ghost' (model 'm2')")),
+    ("predictions", {300: {"confidence": "x"}, 400: {"id": "ghost"}}, 0,
+     (ParseError, "{path}:301: field 'confidence' must be a number")),
+    ("predictions", {300: {"id": ("row", 0)}}, 0,
+     (ValidationError, "duplicate prediction for model 'm2', instance '{ids[0]}'")),
+    # an int in row 3 sends the first chunk record by record; row 300 repeats row 3
+    ("predictions", {3: {"confidence": 1}, 300: {"id": ("row", 3)}}, 0,
+     (ValidationError, "duplicate prediction for model 'm2', instance '{ids[3]}'")),
+    ("predictions", {300: {"confidence": float("nan")}, 310: {"id": "ghost"}}, 0,
+     (ValidationError, "confidence nan out of [0, 1] (model 'm2', instance '{ids[300]}')")),
+    ("predictions", {300: {"model": "m9"}, 301: {"id": "ghost"}}, 0,
+     (ValidationError, "{path}: mixes model ids 'm2' and 'm9'; one predictions file per model")),
+    ("predictions", {0: {"model": "m1"}}, 0,
+     (ValidationError, "{path}: model 'm1' was already read from {other}")),
+    # the first chunk holds no record, so the second one names the model
+    ("predictions", {0: {"model": "m1"}}, 300,
+     (ValidationError, "{path}: model 'm1' was already read from {other}")),
+    ("predictions", {100: {"confidence": "x"}, 200: {"id": "ghost"}}, 300,
+     (ParseError, "{path}:401: field 'confidence' must be a number")),
+    ("predictions", {0: {"label": None}, 1: {"model": "m1"}}, 0,
+     (ParseError, "{path}:1: missing field 'label'")),
+    ("gold", {280: {"id": ("row", 0)}, 290: {"gold": ""}}, 0,
+     (ValidationError, "duplicate gold record for '{ids[0]}'")),
+    ("gold", {270: {"gold": ""}, 280: {"id": "ghost"}}, 0,
+     (ValidationError, "empty gold label for '{ids[270]}'")),
+    ("gold", {3: {"gold": 3}, 260: {"id": "ghost"}}, 0,
+     (ParseError, "{path}:4: field 'gold' must be a string or null")),
+    ("gold", {260: {"id": "ghost"}, 290: {"gold": 3}}, 0,
+     (ValidationError, "gold record for unknown instance 'ghost'")),
+    # the pool checks ids and labels once every line is read
+    ("pool", {300: {"id": ("row", 0)}, 500: {"relation": 3}}, 0,
+     (ParseError, "{path}:501: field 'relation' must be a string")),
+    ("pool", {300: {"id": ("row", 0)}}, 0,
+     (ValidationError, "duplicate instance id: 'e0'")),
+]
+
+
+@pytest.mark.parametrize("kind, edits, blank, error", READ_ORDER)
+def test_the_first_defect_in_read_order_decides(tmp_path, kind, edits, blank, error):
+    pool_path, prediction_paths, gold_path = _flat_bundle(tmp_path)
+    path = {"pool": pool_path, "predictions": prediction_paths[1], "gold": gold_path}[kind]
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    ids = [record["id"] for record in records]
+    for row, changes in edits.items():
+        for key, value in changes.items():
+            if value is None:
+                del records[row][key]
+            else:
+                records[row][key] = records[value[1]][key] if isinstance(value, tuple) else value
+    path.write_text("\n" * blank + "".join(json.dumps(r) + "\n" for r in records))
+    pool = load_pool(pool_path) if kind != "pool" else None
+    load, args = {
+        "pool": (load_pool, [path]),
+        "predictions": (load_predictions, [prediction_paths, pool]),
+        "gold": (load_gold, [path, pool]),
+    }[kind]
+    kind_of_error, message = error
+    assert loader_outcome(load, *args) == (
+        kind_of_error, message.format(path=path, other=prediction_paths[0], ids=ids)
+    )
+
+
+def test_each_input_file_is_opened_once(tmp_path, monkeypatch):
+    pool_path, prediction_paths, _ = _flat_bundle(tmp_path)
+    records = [json.loads(line) for line in prediction_paths[1].read_text().splitlines()]
+    records[5]["id"] = "ghost"
+    jsonl(prediction_paths[1], records)
+    # token arrays, as in TACRED, keep the whole file from the flat parse
+    tokens_path = jsonl(tmp_path / "tokens.jsonl", [
+        {"id": f"e{i}", "relation": "a", "token": ["x", str(i)]} for i in range(600)
+    ])
+    pool = load_pool(pool_path)
+    opened = []
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    real_open = io.open
+    monkeypatch.setattr(builtins, "open", counting_open)
+    monkeypatch.setattr(io, "open", counting_open)
+    with pytest.raises(ValidationError, match="unknown instance 'ghost'"):
+        load_predictions(prediction_paths, pool)
+    assert len(load_pool(tokens_path)) == 600
+    monkeypatch.undo()
+    assert opened == [*map(str, prediction_paths), str(tokens_path)]
+
+
+def test_pool_rejects_metadata_that_names_a_pool_field(tmp_path):
+    # write_pool would write the extra over the field: e1 as id e2, a as label zzz
+    for key in ("id", "relation", "partition"):
+        with pytest.raises(ValidationError, match=f"instance 'e1' has pool field '{key}'"):
+            ReannotationPool([Instance("e1", "a", metadata={key: "zzz"})])
+    pool = ReannotationPool([Instance("e1", "a", "dev", metadata={"ids": "e2", "text": "t"})])
+    write_pool(pool, tmp_path / "p.jsonl")
+    assert load_pool(tmp_path / "p.jsonl") == pool
