@@ -1,8 +1,9 @@
 """Loaders and containers for pools, model predictions, gold relabels, and label maps.
 
 All containers are immutable after construction and safe for concurrent
-reads; loading itself is single-threaded per file. Containers hold columns
-and build record objects on access.
+reads; a PredictionSet's one write is f1_curve's memo, a single store of a
+finished tuple. Loading itself is single-threaded per file. Containers hold
+columns and build record objects on access.
 """
 
 from __future__ import annotations
@@ -175,6 +176,8 @@ class PredictionSet:
     models silently change scores. Stored as one label column and one
     confidence column per model, in pool order; records are built on access.
     """
+
+    _f1_memo: tuple | None = None  # evaluate.f1_curve's last (pool, gold, negative, drop, state)
 
     def __init__(self, records: Iterable[PredictionRecord], pool: ReannotationPool) -> None:
         columns: _PredictionColumns = {}

@@ -2,13 +2,14 @@
 
 Curve values are exact rationals; each (strategy, budget) cell is a pure
 computation over immutable inputs, so sweeps parallelize freely and the
-assembled output is deterministic regardless of execution order.
+assembled output is deterministic regardless of execution order. f1_curve
+keeps its ranking-independent state on the PredictionSet in one store of a
+finished tuple, so concurrent calls may both build it but never read half of it.
 """
 
 from __future__ import annotations
 
 import csv
-from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate, compress, repeat
@@ -263,6 +264,52 @@ def micro_f1(
     return _scores(*_counts(preds, credit, negative_label))
 
 
+def _f1_state(
+    predictions: PredictionSet, pool: Iterable[Instance], gold: GoldSet, negative_label: str,
+    drop_eliminated: bool,
+) -> tuple:
+    """The part of `f1_curve` that no ranking changes: the pool's ids, the
+    changed ids (those whose gold value changes their label in `pool`) as an
+    id -> index map, each changed id's G delta, and per model its budget-0
+    (tp, P, G) and each changed id's tp and P deltas."""
+    slot, columns = predictions.columns()
+    if isinstance(pool, ReannotationPool):
+        ids, labels, row = pool._position.keys(), pool._labels, pool._position
+    else:
+        label_now = {inst.id: inst.label for inst in pool}
+        ids, labels = label_now.keys(), tuple(label_now.values())
+        row = dict(zip(ids, range(len(labels))))
+    if slot is row:
+        by_pool = [column for column, _ in columns]  # the columns are in pool order
+    else:
+        try:
+            slots = list(map(slot.__getitem__, ids))
+        except KeyError as exc:
+            raise ValidationError(f"no prediction for instance {exc.args[0]!r}") from None
+        by_pool = [list(map(column.__getitem__, slots)) for column, _ in columns]
+    credit = _credited(labels, negative_label)
+
+    relabels = gold._gold
+    known = list(filter(row.__contains__, relabels))
+    old = list(map(labels.__getitem__, map(row.__getitem__, known)))
+    new = list(map(relabels.__getitem__, known))
+    changed = list(map(ne, new, old))  # ELIMINATED differs from every label
+    if not drop_eliminated:
+        changed = list(map(and_, changed, map(is_not, new, repeat(ELIMINATED))))
+    walk, old, new = (list(compress(column, changed)) for column in (known, old, new))
+    dropped = list(map(is_, new, repeat(ELIMINATED)))
+    old_credit, new_credit = _credited(old, negative_label), _credited(new, negative_label)
+    gained = map(sub, map(is_not, new_credit, repeat(None)), map(is_not, old_credit, repeat(None)))
+    walk_slots = list(map(slot.__getitem__, walk))
+    models = []
+    for preds, (column, _) in zip(by_pool, columns):
+        walk_preds = list(map(column.__getitem__, walk_slots))
+        tp_delta = map(sub, map(eq, walk_preds, new_credit), map(eq, walk_preds, old_credit))
+        lost = map(and_, dropped, map(ne, walk_preds, repeat(negative_label)))  # P drops by 1
+        models.append((_counts(preds, credit, negative_label), list(tp_delta), list(lost)))
+    return ids, dict(zip(walk, range(len(walk)))), list(gained), models
+
+
 def f1_curve(
     predictions: PredictionSet,
     pool: Iterable[Instance],
@@ -279,54 +326,37 @@ def f1_curve(
     ``apply_reannotation(pool, ranking, gold, B)`` at every budget, but
     counted once over the pool and then kept as running counts over the
     ids whose gold value changes their label in `pool`, in rank order.
+    The counts and the per-changed-id deltas do not depend on the ranking:
+    over the pool the predictions were built on, they are kept on
+    `predictions` for the last (pool, gold, negative label, drop) and reused.
     """
-    if isinstance(pool, ReannotationPool):
-        label_now = dict(zip(pool._ids, pool._labels))
+    key = (pool, gold, negative_label, drop_eliminated)
+    if isinstance(pool, ReannotationPool) and predictions._slot is pool._position:
+        memo = predictions._f1_memo
+        if memo is None or memo[0] is not pool or memo[1] is not gold or memo[2:4] != key[2:]:
+            memo = predictions._f1_memo = (*key, _f1_state(predictions, *key))
+        ids, index, gained, models = memo[4]
     else:
-        label_now = {inst.id: inst.label for inst in pool}
-    if label_now.keys() != set(ranking.ids):
+        ids, index, gained, models = _f1_state(predictions, *key)
+    if ids != set(ranking.ids):
         raise ValidationError("pool and ranking cover different instances")
     _check_budgets(schedule, len(ranking))
 
-    slot, columns = predictions.columns()
-    if isinstance(pool, ReannotationPool) and slot is pool._position:
-        by_pool = [labels for labels, _ in columns]  # the columns are in pool order
-    else:
-        try:
-            slots = list(map(slot.__getitem__, label_now))
-        except KeyError as exc:
-            raise ValidationError(f"no prediction for instance {exc.args[0]!r}") from None
-        by_pool = [list(map(labels.__getitem__, slots)) for labels, _ in columns]
-    credit = _credited(list(label_now.values()), negative_label)
-
-    # the ids whose gold value changes their label in `pool`, in rank order
-    relabels = gold._gold
-    changed = set(compress(relabels, map(ne, relabels.values(), map(label_now.get, relabels))))
-    if not drop_eliminated:
-        eliminated = map(is_, relabels.values(), repeat(ELIMINATED))
-        changed.difference_update(compress(relabels, eliminated))
-    walked = list(map(changed.__contains__, ranking.ids))
-    walk = list(compress(ranking.ids, walked))
-    walk_slots = list(map(slot.__getitem__, walk))
-    new = list(map(relabels.__getitem__, walk))
-    dropped = list(map(is_, new, repeat(ELIMINATED)))
-    old_credit = _credited(list(map(label_now.__getitem__, walk)), negative_label)
-    new_credit = _credited(new, negative_label)
-    gained = map(sub, map(is_not, new_credit, repeat(None)), map(is_not, old_credit, repeat(None)))
-    gold_moved = list(accumulate(gained, initial=0))
-    # index k of a running count is after the first k changes; budget b
-    # has applied the changes ranked before b
-    ranks = list(compress(range(len(walked)), walked))
-    applied = [bisect_left(ranks, b) for b in schedule]
+    # each ranked id's changed-id index (None if unchanged), and the changed ids
+    # in rank order; index k of a running count is after the first k changes
+    changes = list(map(index.get, ranking.ids))
+    order = list(compress(changes, map(is_not, changes, repeat(None))))
+    segments = map(changes.__getitem__, map(slice, (0, *schedule), schedule))
+    # budget b has applied the changes ranked before b
+    applied = list(accumulate(len(segment) - segment.count(None) for segment in segments))
+    gold_moved = list(accumulate(map(gained.__getitem__, order), initial=0))
 
     series = []
-    for model, preds, (column, _) in zip(predictions.model_ids, by_pool, columns):
-        tp, predicted, gold_count = _counts(preds, credit, negative_label)
-        walk_preds = list(map(column.__getitem__, walk_slots))
-        tp_delta = map(sub, map(eq, walk_preds, new_credit), map(eq, walk_preds, old_credit))
-        tp_now = list(accumulate(tp_delta, initial=tp))
-        unpredicted = map(and_, dropped, map(ne, walk_preds, repeat(negative_label)))
-        predicted_now = list(accumulate(unpredicted, sub, initial=predicted))
+    for model, ((tp, predicted, gold_count), tp_delta, lost) in zip(
+        predictions.model_ids, models
+    ):
+        tp_now = list(accumulate(map(tp_delta.__getitem__, order), initial=tp))
+        predicted_now = list(accumulate(map(lost.__getitem__, order), sub, initial=predicted))
         scores = [
             _scores(tp_now[k], predicted_now[k], gold_count + gold_moved[k]) for k in applied
         ]

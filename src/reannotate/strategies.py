@@ -169,6 +169,15 @@ class RankedList:
                         f"not increase and ties must be in ascending id order"
                     )
 
+    @classmethod
+    def _from_sorted(
+        cls, strategy: StrategyKind, ids: tuple[str, ...], keys: tuple[int, ...], denominator: int
+    ) -> RankedList:
+        """A list that `rank` built in order itself, so the checks above are skipped."""
+        ranking = cls.__new__(cls)
+        ranking.__dict__.update(strategy=strategy, ids=ids, keys=keys, denominator=denominator)
+        return ranking
+
     @property
     def name(self) -> str:
         return self.strategy.value
@@ -204,17 +213,15 @@ def rank(
     instance from the given seed (in sorted-id order, so the permutation
     depends only on the seed and the id set) and the usual descending sort
     yields the shuffle. random() returns multiples of 2^-53, so each draw
-    times 2^53 is an exact integer key. Selections at growing budgets are
-    nested prefixes for every strategy.
+    times 2^53 is an exact integer key, and the draws sort as their keys do.
+    Selections at growing budgets are nested prefixes for every strategy.
     """
     if kind is StrategyKind.RANDOM:
         if seed is None:
             raise ValidationError("random strategy requires a seed")
         _check_seed(seed)
-        rng = random.Random(seed)
-        keys, denominator = [0] * len(pool), 2**53
-        for row in pool._id_order:
-            keys[row] = int(rng.random() * 2**53)
+        draws = map(random.Random.random, repeat(random.Random(seed), len(pool)))
+        keys, denominator = dict(zip(pool._id_order, draws)), 2**53
     elif predictions is None:
         raise ValidationError(f"{kind.value} strategy requires predictions")
     elif kind is not StrategyKind.CONFIDENCE and hierarchy is None:
@@ -226,4 +233,6 @@ def rank(
     order = pool._id_order.copy()  # the stable sort below keeps ties in ascending id order
     order.sort(key=keys.__getitem__, reverse=True)
     ids, keys = tuple(map(pool._ids.__getitem__, order)), tuple(map(keys.__getitem__, order))
-    return RankedList(kind, ids, keys, denominator)
+    if kind is StrategyKind.RANDOM:  # sorting the floats was faster than their keys
+        keys = tuple(map(int, map(mul, keys, repeat(2.0**53))))
+    return RankedList._from_sorted(kind, ids, keys, denominator)

@@ -13,6 +13,7 @@ from reannotate import (
     RankedList,
     StrategyKind,
     ValidationError,
+    apply_label_map,
     apply_reannotation,
     efficiency_curve,
     f1_curve,
@@ -25,6 +26,7 @@ from reannotate import (
     rank,
     write_curves_csv,
 )
+from reannotate import evaluate
 from reannotate.cli import main
 
 NEG = "no_relation"
@@ -372,6 +374,77 @@ def test_f1_curve_matches_apply_then_micro_on_random_pools():
                 assert by_key[(m, "precision")].value_at(budget) == expected.precision
                 assert by_key[(m, "recall")].value_at(budget) == expected.recall
                 assert by_key[(m, "f1")].value_at(budget) == expected.f1
+
+
+def _recounted(preds, pool, ranking, gold, schedule, negative, drop):
+    """f1_curve's series, each checked against relabeling and recounting at every budget."""
+    series = f1_curve(preds, pool, ranking, gold, schedule, negative, drop_eliminated=drop)
+    by_key = {(s.series, s.metric): s for s in series}
+    for budget in schedule:
+        labels_now = apply_reannotation(
+            pool, ranking, gold, budget, drop_eliminated=drop
+        ).labels_by_id()
+        for m in preds.model_ids:
+            pred_map = {r.instance_id: r.label for r in preds.records_for_model(m)}
+            expected = micro_f1(pred_map, labels_now, negative)
+            got = tuple(by_key[(m, metric)].value_at(budget) for metric in expected._fields)
+            assert got == expected
+    return series
+
+
+def test_f1_curve_reused_state_follows_every_input():
+    # one PredictionSet keeps f1_curve's state between calls; each call that
+    # changes the ranking, drop, negative label, gold set or pool still recounts
+    rng = random.Random(7)
+    universe = ["A", "B", "C", NEG]
+    pool = make_pool({f"e{i:02d}": rng.choice(universe) for i in range(40)})
+    preds = make_predictions(
+        pool, {m: {iid: rng.choice(universe) for iid in pool.ids()} for m in ("m1", "m2")}
+    )
+
+    def drawn_gold():
+        return make_gold(pool, {
+            iid: rng.choice([*universe, None]) for iid in pool.ids() if rng.random() < 0.5
+        })
+
+    gold, other_gold = drawn_gold(), drawn_gold()
+    relabeled = apply_label_map(pool, {"A": "B", "B": "C", "C": "A", NEG: NEG})
+    first = rank(pool, None, None, StrategyKind.RANDOM, seed=1)
+    second = rank(pool, None, None, StrategyKind.RANDOM, seed=2)
+    schedule = BudgetSchedule.evenly(9, len(pool))
+    calls = [
+        (pool, first, gold, NEG, True),
+        (pool, second, gold, NEG, True),
+        (pool, second, gold, NEG, False),
+        (pool, second, gold, "A", False),
+        (pool, second, other_gold, "A", False),
+        (relabeled, second, other_gold, "A", False),
+        (pool, first, gold, NEG, True),
+    ]
+    for pool_now, ranking, gold_now, negative, drop in calls:
+        _recounted(preds, pool_now, ranking, gold_now, schedule, negative, drop)
+
+
+def test_f1_curve_counts_the_pool_once_per_state(monkeypatch):
+    pool = make_pool({"e1": "A", "e2": "B", "e3": NEG, "e4": "A"})
+    preds = make_predictions(
+        pool, {m: {"e1": "A", "e2": "A", "e3": "B", "e4": NEG} for m in ("m1", "m2", "m3")}
+    )
+    gold = make_gold(pool, {"e2": "A", "e3": None})
+    schedule = BudgetSchedule((0, 2, 4))
+    first = ordered_ranking(["e2", "e3", "e1", "e4"])
+    second = ordered_ranking(["e4", "e1", "e3", "e2"])
+    calls = [(first, True), (first, True), (second, True), (second, False)]
+    counts, counted, seen = evaluate._counts, [], []
+    monkeypatch.setattr(evaluate, "_counts", lambda *args: counted.append(args) or counts(*args))
+    for ranking, drop in calls:
+        series = f1_curve(preds, pool, ranking, gold, schedule, NEG, drop_eliminated=drop)
+        seen.append((series, len(counted)))
+    # the pool-wide pass runs once per model, and again only for another drop
+    assert [n for _, n in seen] == [3, 3, 3, 6]
+    monkeypatch.undo()
+    for (ranking, drop), (series, _) in zip(calls, seen):
+        assert series == _recounted(preds, pool, ranking, gold, schedule, NEG, drop)
 
 
 def test_f1_curve_mismatched_ranking(six_case):

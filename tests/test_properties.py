@@ -46,6 +46,7 @@ from reannotate import (
     BudgetSchedule,
     Instance,
     ParseError,
+    RankedList,
     StrategyKind,
     ValidationError,
     apply_reannotation,
@@ -490,6 +491,8 @@ def test_rank_and_curves_on_random_trees(case):
         assert [Fraction(k, ranking.denominator) for k in ranking.keys] == [
             scores[iid] for iid in expected
         ]
+        # rank builds its list without the constructor's checks, which accept it
+        RankedList(ranking.strategy, ranking.ids, ranking.keys, ranking.denominator)
 
         efficiency = efficiency_curve(ranking, gold, schedule).values()
         assert efficiency[0] == 0 and efficiency[-1] == 1
