@@ -15,7 +15,7 @@ from functools import cached_property
 from itertools import compress, count, repeat
 from operator import itemgetter, le, methodcaller, ne
 from pathlib import Path
-from typing import Any, Iterable, Iterator, KeysView, Mapping, NamedTuple
+from typing import Any, Iterable, Iterator, KeysView, Mapping, NamedTuple, Sequence
 
 from .errors import ParseError, ValidationError
 from .hierarchy import LabelHierarchy, _read_json
@@ -217,12 +217,17 @@ class PredictionSet:
         """Ensemble size."""
         return len(self._columns)
 
-    def columns(
-        self,
-    ) -> tuple[Mapping[str, int], tuple[tuple[tuple[str, ...], tuple[float, ...]], ...]]:
-        """The instance id -> slot map (read-only), and per model, in model
-        order, its label column and its confidence column, indexed by slot."""
-        return self._slot, tuple(self._columns.values())
+    def _over(self, pool: ReannotationPool) -> list[tuple[Sequence[str], Sequence[float]]]:
+        """Per model, in model order, its label and confidence columns in
+        `pool`'s row order: read in place when they were built over `pool`'s
+        rows, else gathered by id."""
+        if pool._position is self._slot:
+            return list(self._columns.values())
+        slots = list(map(self._slot_of, pool._ids))
+        return [
+            tuple(list(map(column.__getitem__, slots)) for column in pair)
+            for pair in self._columns.values()
+        ]
 
     def _column(self, model_id: str) -> tuple[tuple[str, ...], tuple[float, ...]]:
         try:

@@ -271,22 +271,14 @@ def _f1_state(
     """The part of `f1_curve` that no ranking changes: the pool's ids, the
     changed ids (those whose gold value changes their label in `pool`) as an
     id -> index map, each changed id's G delta, and per model its budget-0
-    (tp, P, G) and each changed id's tp and P deltas."""
-    slot, columns = predictions.columns()
-    if isinstance(pool, ReannotationPool):
-        ids, labels, row = pool._position.keys(), pool._labels, pool._position
-    else:
-        label_now = {inst.id: inst.label for inst in pool}
-        ids, labels = label_now.keys(), tuple(label_now.values())
-        row = dict(zip(ids, range(len(labels))))
-    if slot is row:
-        by_pool = [column for column, _ in columns]  # the columns are in pool order
-    else:
-        try:
-            slots = list(map(slot.__getitem__, ids))
-        except KeyError as exc:
-            raise ValidationError(f"no prediction for instance {exc.args[0]!r}") from None
-        by_pool = [list(map(column.__getitem__, slots)) for column, _ in columns]
+    (tp, P, G) and each changed id's tp and P deltas. A plain iterable is
+    checked as a pool of its ids and labels."""
+    if not isinstance(pool, ReannotationPool):
+        # no instances give ((), ()), which _from_columns refuses as an empty pool
+        ids, labels = tuple(zip(*((inst.id, inst.label) for inst in pool))) or ((), ())
+        pool = ReannotationPool._from_columns(ids, labels, [None] * len(ids), {})
+    columns = predictions._over(pool)
+    labels, row = pool._labels, pool._position
     credit = _credited(labels, negative_label)
 
     relabels = gold._gold
@@ -300,14 +292,14 @@ def _f1_state(
     dropped = list(map(is_, new, repeat(ELIMINATED)))
     old_credit, new_credit = _credited(old, negative_label), _credited(new, negative_label)
     gained = map(sub, map(is_not, new_credit, repeat(None)), map(is_not, old_credit, repeat(None)))
-    walk_slots = list(map(slot.__getitem__, walk))
+    walk_rows = list(map(row.__getitem__, walk))
     models = []
-    for preds, (column, _) in zip(by_pool, columns):
-        walk_preds = list(map(column.__getitem__, walk_slots))
+    for preds, _ in columns:
+        walk_preds = list(map(preds.__getitem__, walk_rows))
         tp_delta = map(sub, map(eq, walk_preds, new_credit), map(eq, walk_preds, old_credit))
         lost = map(and_, dropped, map(ne, walk_preds, repeat(negative_label)))  # P drops by 1
         models.append((_counts(preds, credit, negative_label), list(tp_delta), list(lost)))
-    return ids, dict(zip(walk, range(len(walk)))), list(gained), models
+    return row.keys(), dict(zip(walk, range(len(walk)))), list(gained), models
 
 
 def f1_curve(
@@ -327,11 +319,12 @@ def f1_curve(
     counted once over the pool and then kept as running counts over the
     ids whose gold value changes their label in `pool`, in rank order.
     The counts and the per-changed-id deltas do not depend on the ranking:
-    over the pool the predictions were built on, they are kept on
-    `predictions` for the last (pool, gold, negative label, drop) and reused.
+    for a `ReannotationPool` they are kept on `predictions` for the last
+    (pool, gold, negative label, drop) and reused; a plain iterable of
+    instances builds them afresh on each call.
     """
     key = (pool, gold, negative_label, drop_eliminated)
-    if isinstance(pool, ReannotationPool) and predictions._slot is pool._position:
+    if isinstance(pool, ReannotationPool):
         memo = predictions._f1_memo
         if memo is None or memo[0] is not pool or memo[1] is not gold or memo[2:4] != key[2:]:
             memo = predictions._f1_memo = (*key, _f1_state(predictions, *key))

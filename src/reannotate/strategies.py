@@ -17,7 +17,6 @@ from functools import cache
 from itertools import chain, repeat
 from operator import add, and_, eq, ge, gt, lshift, mul, ne, sub
 from pathlib import Path
-from typing import Mapping, Sequence
 
 from .corpus import Instance, PredictionSet, ReannotationPool
 from .errors import ValidationError
@@ -51,24 +50,18 @@ def _check_seed(seed: object) -> None:
 
 
 def _scores(
-    ids: Sequence[str],
-    dataset_labels: Sequence[str],
+    pool: ReannotationPool,
     predictions: PredictionSet,
     hierarchy: LabelHierarchy | None,
     kind: StrategyKind,
-    position: Mapping[str, int] | None = None,
 ) -> tuple[list[int], int]:
-    """Each instance's GD, LD or CONFIDENCE score in the given order, as (int keys, denominator).
+    """Each pool row's GD, LD or CONFIDENCE score, as (int keys, denominator).
 
-    Reads the K prediction columns in place when ``position``, the row map of the
-    pool that ``ids`` and ``dataset_labels`` come from, is the map they were built
-    over; else gathers them by slot. GD and LD walk one instance's K predictions
-    in turn (walks then share a path), once per distinct pair per call.
+    Reads the K prediction columns in `pool`'s row order (`PredictionSet._over`).
+    GD and LD walk one instance's K predictions in turn (walks then share a
+    path), once per distinct pair per call.
     """
-    slot, columns = predictions.columns()
-    if slot is not position:
-        slots = list(map(predictions._slot_of, ids))
-        columns = [[list(map(column.__getitem__, slots)) for column in pair] for pair in columns]
+    columns, dataset_labels = predictions._over(pool), pool._labels
     k = len(columns)
     if kind is StrategyKind.CONFIDENCE:
         smallest = min(min(filter(None, confs), default=1.0) for _, confs in columns)
@@ -102,7 +95,8 @@ def _score_one(
     hierarchy: LabelHierarchy | None,
     kind: StrategyKind,
 ) -> Fraction:
-    keys, denominator = _scores((instance.id,), (instance.label,), predictions, hierarchy, kind)
+    pool = ReannotationPool._from_columns((instance.id,), (instance.label,), (None,), {})
+    keys, denominator = _scores(pool, predictions, hierarchy, kind)
     return Fraction(keys[0], denominator)
 
 
@@ -227,9 +221,7 @@ def rank(
     elif kind is not StrategyKind.CONFIDENCE and hierarchy is None:
         raise ValidationError(f"{kind.value} strategy requires a hierarchy")
     else:
-        keys, denominator = _scores(
-            pool.ids(), pool._labels, predictions, hierarchy, kind, pool._position
-        )
+        keys, denominator = _scores(pool, predictions, hierarchy, kind)
     order = pool._id_order.copy()  # the stable sort below keeps ties in ascending id order
     order.sort(key=keys.__getitem__, reverse=True)
     ids, keys = tuple(map(pool._ids.__getitem__, order)), tuple(map(keys.__getitem__, order))

@@ -145,5 +145,5 @@ def loader_outcome(load, *args):
     if isinstance(loaded, ReannotationPool):
         return repr(list(loaded))
     if isinstance(loaded, PredictionSet):
-        return repr((loaded.model_ids, loaded.columns()))
+        return repr([loaded.records_for_model(m) for m in loaded.model_ids])
     return repr((loaded.records(), sorted(loaded.noisy_ids)))

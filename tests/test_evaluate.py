@@ -434,17 +434,22 @@ def test_f1_curve_counts_the_pool_once_per_state(monkeypatch):
     schedule = BudgetSchedule((0, 2, 4))
     first = ordered_ranking(["e2", "e3", "e1", "e4"])
     second = ordered_ranking(["e4", "e1", "e3", "e2"])
-    calls = [(first, True), (first, True), (second, True), (second, False)]
+    relabeled = apply_label_map(pool, {"A": "B", "B": NEG, NEG: "A"})  # a pool of its own
+    calls = [
+        (pool, first, True), (pool, first, True), (pool, second, True), (pool, second, False),
+        (relabeled, first, False), (relabeled, second, False), (pool, second, False),
+    ]
     counts, counted, seen = evaluate._counts, [], []
     monkeypatch.setattr(evaluate, "_counts", lambda *args: counted.append(args) or counts(*args))
-    for ranking, drop in calls:
-        series = f1_curve(preds, pool, ranking, gold, schedule, NEG, drop_eliminated=drop)
+    for pool_now, ranking, drop in calls:
+        series = f1_curve(preds, pool_now, ranking, gold, schedule, NEG, drop_eliminated=drop)
         seen.append((series, len(counted)))
-    # the pool-wide pass runs once per model, and again only for another drop
-    assert [n for _, n in seen] == [3, 3, 3, 6]
+    # the pool-wide pass runs once per model, and again only for another drop or
+    # pool, also one the predictions were not built over
+    assert [n for _, n in seen] == [3, 3, 3, 6, 9, 9, 12]
     monkeypatch.undo()
-    for (ranking, drop), (series, _) in zip(calls, seen):
-        assert series == _recounted(preds, pool, ranking, gold, schedule, NEG, drop)
+    for (pool_now, ranking, drop), (series, _) in zip(calls, seen):
+        assert series == _recounted(preds, pool_now, ranking, gold, schedule, NEG, drop)
 
 
 def test_f1_curve_mismatched_ranking(six_case):
@@ -459,8 +464,22 @@ def test_f1_curve_missing_prediction(six_case):
     _, preds = six_case
     pool = make_pool({"e1": "A", "e2": "A", "e3": "B", "e4": NEG, "e5": "B", "e7": "A"})
     ranking = ordered_ranking(list(pool.ids()))
-    with pytest.raises(ValidationError, match="no prediction for instance 'e7'"):
+    with pytest.raises(ValidationError, match="no predictions for instance 'e7'"):
         f1_curve(preds, pool, ranking, make_gold(pool, {}), BudgetSchedule((0,)), NEG)
+
+
+@pytest.mark.parametrize("labels, message", [
+    ([("e1", "A"), ("e2", "A"), ("e1", "B")], "duplicate instance id: 'e1'"),
+    ([], "pool is empty"),
+    ([("e1", "A"), ("e2", "")], "instance 'e2' has an empty label"),
+])
+def test_f1_curve_checks_a_plain_pool_like_a_pool(six_case, labels, message):
+    # a plain list of instances is checked as a pool of its ids and labels
+    pool, preds = six_case
+    ranking = ordered_ranking(list(pool.ids()))
+    plain = [Instance(iid, label) for iid, label in labels]
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        f1_curve(preds, plain, ranking, make_gold(pool, {}), BudgetSchedule((0,)), NEG)
 
 
 def test_ranking_with_repeated_id_is_rejected():
