@@ -1,9 +1,11 @@
 """Loaders and containers for pools, model predictions, gold relabels, and label maps.
 
 All containers are immutable after construction and safe for concurrent
-reads; a PredictionSet's one write is f1_curve's memo, a single store of a
-finished tuple. Loading itself is single-threaded per file. Containers hold
-columns and build record objects on access.
+reads. Two caches are each a single store of a finished value: a
+PredictionSet's f1_curve memo (a tuple) and a GoldSet's noisy flag per pool
+row (a list, built on efficiency_curve's first call). Loading itself is
+single-threaded per file. Containers hold columns and build record objects
+on access.
 """
 
 from __future__ import annotations
@@ -330,10 +332,15 @@ class GoldSet:
 
     def _set_gold(self, gold: dict[str, str | _EliminatedType], pool: ReannotationPool) -> None:
         self._gold = gold
-        self._pool_ids = pool._position.keys()
+        self._position = pool._position
         dataset_labels = map(pool._labels.__getitem__, map(pool._position.__getitem__, gold))
         # ELIMINATED differs from every label
         self._noisy = frozenset(compress(gold, map(ne, gold.values(), dataset_labels)))
+
+    @cached_property
+    def _noisy_rows(self) -> list[bool]:
+        """Per pool row, in row order, whether it is noisy."""
+        return list(map(self._noisy.__contains__, self._position))
 
     @property
     def noisy_ids(self) -> frozenset[str]:
@@ -342,7 +349,7 @@ class GoldSet:
 
     @property
     def pool_ids(self) -> KeysView[str]:
-        return self._pool_ids
+        return self._position.keys()
 
     def __len__(self) -> int:
         return len(self._gold)

@@ -4,7 +4,11 @@ Curve values are exact rationals; each (strategy, budget) cell is a pure
 computation over immutable inputs, so sweeps parallelize freely and the
 assembled output is deterministic regardless of execution order. f1_curve
 keeps its ranking-independent state on the PredictionSet in one store of a
-finished tuple, so concurrent calls may both build it but never read half of it.
+finished tuple, and efficiency_curve the noisy flag per pool row on the
+GoldSet in one store of a finished list, so concurrent calls may both build
+either but never read half of it. A ranking from `rank` carries its pool
+rows, which the curves read in place over that pool and gather by id over
+any other.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import csv
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate, compress, repeat
-from operator import and_, eq, is_, is_not, ne, sub
+from operator import add, and_, eq, is_, is_not, ne, sub
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -112,32 +116,57 @@ class CurveSeries:
         raise ValidationError(f"no curve point at budget {budget}")
 
 
+def _rows_of(ranking: RankedList, position: Mapping[str, int], message: str) -> Sequence[int]:
+    """Each rank's row in the pool whose id -> row map is `position`: read in
+    place when `rank` ordered that pool, else gathered by id. A ranking whose
+    ids are not exactly the pool's (ranked ids are distinct) raises `message`."""
+    if ranking._over is position:
+        return ranking._rows
+    rows = list(map(position.get, ranking.ids))
+    if len(rows) != len(position) or None in rows:
+        raise ValidationError(message)
+    return rows
+
+
+def _flagged(
+    flags: Sequence[bool], rows: Sequence[int], schedule: BudgetSchedule
+) -> tuple[bytes, list[int]]:
+    """Each rank's flag (`flags` holds one per pool row), and how many flagged
+    ranks each budget's prefix holds."""
+    hits = bytes(map(flags.__getitem__, rows))
+    return hits, list(accumulate(map(hits.count, repeat(1), (0, *schedule), schedule)))
+
+
 def jaccard_curve(a: RankedList, b: RankedList, schedule: BudgetSchedule) -> CurveSeries:
     """Overlap of the two top-B selections at each budget: |A ∩ B| / |A ∪ B|.
 
     Defined as 1 at B = 0 (two empty selections); the series is labeled
-    with `a`'s strategy name.
+    with `a`'s strategy name. Both selections grow as rows of one pool: the
+    pool `a` was ranked from by `rank`, else `a`'s ids in rank order, with
+    `b`'s rows read in place over that pool or gathered by id.
     """
-    seen_a: set[str] = set()
-    seen_b: set[str] = set()
+    if a._over is None:
+        position, rows_a = dict(zip(a.ids, range(len(a)))), range(len(a))
+    else:
+        position, rows_a = a._over, a._rows
+    rows_b = _rows_of(b, position, "rankings cover different pools")
+    _check_budgets(schedule, len(a))
+    in_a, in_b = bytearray(len(a)), bytearray(len(a))
     intersection = 0
     previous = 0
     points = []
     for budget in schedule:
-        segment_a, segment_b = a.ids[previous:budget], b.ids[previous:budget]
-        intersection += len(seen_b.intersection(segment_a))
-        seen_a.update(segment_a)
-        intersection += len(seen_a.intersection(segment_b))
-        seen_b.update(segment_b)
+        segment_a, segment_b = rows_a[previous:budget], rows_b[previous:budget]
+        for row in segment_a:
+            in_a[row] = 1
+        intersection += sum(map(in_b.__getitem__, segment_a))
+        for row in segment_b:
+            in_b[row] = 1
+        intersection += sum(map(in_a.__getitem__, segment_b))
         previous = budget
         union = 2 * budget - intersection
         value = Fraction(1) if union == 0 else Fraction(intersection, union)
         points.append(CurvePoint(budget, value))
-    seen_a.update(a.ids[previous:])
-    seen_b.update(b.ids[previous:])
-    if seen_a != seen_b:
-        raise ValidationError("rankings cover different pools")
-    _check_budgets(schedule, len(a))
     return CurveSeries("jaccard", a.name, tuple(points))
 
 
@@ -147,17 +176,18 @@ def efficiency_curve(
     """Fraction of the noisy set captured in the top-B prefix, per budget.
 
     The denominator is the noisy set of whatever pool was loaded (the gold
-    set's pool), not of any particular partition.
+    set's pool), not of any particular partition. The ranking's rows over
+    that pool are read in place when `rank` ordered it, else gathered by id,
+    and counted through the gold set's noisy flag per row.
     """
     noisy = gold.noisy_ids
     if not noisy:
         raise ValidationError("efficiency undefined: the noisy set is empty")
-    if gold.pool_ids != set(ranking.ids):
-        raise ValidationError("gold and ranking cover different pools")
+    rows = _rows_of(ranking, gold._position, "gold and ranking cover different pools")
     _check_budgets(schedule, len(ranking))
-    cumulative = list(accumulate(map(noisy.__contains__, ranking.ids), initial=0))
+    _, caught = _flagged(gold._noisy_rows, rows, schedule)
     points = tuple(
-        CurvePoint(b, Fraction(cumulative[b], len(noisy))) for b in schedule
+        CurvePoint(b, Fraction(count, len(noisy))) for b, count in zip(schedule, caught)
     )
     return CurveSeries("efficiency", ranking.name, points)
 
@@ -268,11 +298,11 @@ def _f1_state(
     predictions: PredictionSet, pool: Iterable[Instance], gold: GoldSet, negative_label: str,
     drop_eliminated: bool,
 ) -> tuple:
-    """The part of `f1_curve` that no ranking changes: the pool's ids, the
-    changed ids (those whose gold value changes their label in `pool`) as an
-    id -> index map, each changed id's G delta, and per model its budget-0
-    (tp, P, G) and each changed id's tp and P deltas. A plain iterable is
-    checked as a pool of its ids and labels."""
+    """The part of `f1_curve` that no ranking changes: the pool's id -> row
+    map, a flag per row (1 where the gold value changes the row's label in
+    `pool`), the changed rows as a row -> index map, each changed id's G
+    delta, and per model its budget-0 (tp, P, G) and each changed id's tp and
+    P deltas. A plain iterable is checked as a pool of its ids and labels."""
     if not isinstance(pool, ReannotationPool):
         # no instances give ((), ()), which _from_columns refuses as an empty pool
         ids, labels = tuple(zip(*((inst.id, inst.label) for inst in pool))) or ((), ())
@@ -299,7 +329,16 @@ def _f1_state(
         tp_delta = map(sub, map(eq, walk_preds, new_credit), map(eq, walk_preds, old_credit))
         lost = map(and_, dropped, map(ne, walk_preds, repeat(negative_label)))  # P drops by 1
         models.append((_counts(preds, credit, negative_label), list(tp_delta), list(lost)))
-    return row.keys(), dict(zip(walk, range(len(walk)))), list(gained), models
+    index = dict(zip(walk_rows, range(len(walk_rows))))
+    return row, list(map(index.__contains__, range(len(labels)))), index, list(gained), models
+
+
+def _moved(deltas: list[int], order: list[int], steps: list[slice]) -> list[int]:
+    """Per budget, the sum of `deltas` (one per changed id) over the changes
+    it has applied: `order` holds the changed ids in rank order, and `steps`
+    each budget's slice of them beyond the previous budget's."""
+    ranked = list(map(deltas.__getitem__, order))
+    return list(accumulate(map(sum, map(ranked.__getitem__, steps))))
 
 
 def f1_curve(
@@ -321,38 +360,37 @@ def f1_curve(
     The counts and the per-changed-id deltas do not depend on the ranking:
     for a `ReannotationPool` they are kept on `predictions` for the last
     (pool, gold, negative label, drop) and reused; a plain iterable of
-    instances builds them afresh on each call.
+    instances builds them afresh on each call. The ranking's rows over the
+    pool are read in place when `rank` ordered it, else gathered by id.
     """
     key = (pool, gold, negative_label, drop_eliminated)
     if isinstance(pool, ReannotationPool):
         memo = predictions._f1_memo
         if memo is None or memo[0] is not pool or memo[1] is not gold or memo[2:4] != key[2:]:
             memo = predictions._f1_memo = (*key, _f1_state(predictions, *key))
-        ids, index, gained, models = memo[4]
+        position, changed, index, gained, models = memo[4]
     else:
-        ids, index, gained, models = _f1_state(predictions, *key)
-    if ids != set(ranking.ids):
-        raise ValidationError("pool and ranking cover different instances")
+        position, changed, index, gained, models = _f1_state(predictions, *key)
+    rows = _rows_of(ranking, position, "pool and ranking cover different instances")
     _check_budgets(schedule, len(ranking))
 
-    # each ranked id's changed-id index (None if unchanged), and the changed ids
-    # in rank order; index k of a running count is after the first k changes
-    changes = list(map(index.get, ranking.ids))
-    order = list(compress(changes, map(is_not, changes, repeat(None))))
-    segments = map(changes.__getitem__, map(slice, (0, *schedule), schedule))
-    # budget b has applied the changes ranked before b
-    applied = list(accumulate(len(segment) - segment.count(None) for segment in segments))
-    gold_moved = list(accumulate(map(gained.__getitem__, order), initial=0))
+    # the changed ids in rank order, and each budget's slice of them beyond
+    # the previous budget's
+    hits, applied = _flagged(changed, rows, schedule)
+    order = list(map(index.__getitem__, compress(rows, hits)))
+    steps = list(map(slice, (0, *applied), applied))
+    gold_moved = _moved(gained, order, steps)
 
     series = []
     for model, ((tp, predicted, gold_count), tp_delta, lost) in zip(
         predictions.model_ids, models
     ):
-        tp_now = list(accumulate(map(tp_delta.__getitem__, order), initial=tp))
-        predicted_now = list(accumulate(map(lost.__getitem__, order), sub, initial=predicted))
-        scores = [
-            _scores(tp_now[k], predicted_now[k], gold_count + gold_moved[k]) for k in applied
-        ]
+        scores = map(
+            _scores,
+            map(add, repeat(tp), _moved(tp_delta, order, steps)),
+            map(sub, repeat(predicted), _moved(lost, order, steps)),
+            map(add, repeat(gold_count), gold_moved),
+        )
         series += [
             CurveSeries(metric, model, tuple(map(CurvePoint, schedule, values)))
             for metric, values in zip(MicroScores._fields, zip(*scores))

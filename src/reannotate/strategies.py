@@ -132,8 +132,14 @@ class RankedList:
     """A strategy's permutation of the pool; the top-B prefix is the selection at budget B.
 
     The score of ``ids[i]`` is exactly ``keys[i] / denominator``. Scores never
-    increase down the list, and ties are in ascending id order.
+    increase down the list, and ties are in ascending id order. A list from
+    `rank` also remembers each rank's pool row (``_rows``) and that pool's
+    id -> row map (``_over``); they are not fields, and a list built by hand,
+    copied or unpickled has neither.
     """
+
+    _rows = None
+    _over = None
 
     strategy: StrategyKind
     ids: tuple[str, ...]
@@ -165,12 +171,19 @@ class RankedList:
 
     @classmethod
     def _from_sorted(
-        cls, strategy: StrategyKind, ids: tuple[str, ...], keys: tuple[int, ...], denominator: int
+        cls, strategy: StrategyKind, ids: tuple[str, ...], keys: tuple[int, ...], denominator: int,
+        rows: list[int], over: dict[str, int],
     ) -> RankedList:
-        """A list that `rank` built in order itself, so the checks above are skipped."""
+        """A list that `rank` built in order itself from the rows of the pool
+        whose id -> row map is `over`, so the checks above are skipped."""
         ranking = cls.__new__(cls)
-        ranking.__dict__.update(strategy=strategy, ids=ids, keys=keys, denominator=denominator)
+        ranking.__dict__.update(
+            strategy=strategy, ids=ids, keys=keys, denominator=denominator, _rows=rows, _over=over
+        )
         return ranking
+
+    def __reduce__(self):  # a copy is checked afresh and keeps no pool rows
+        return type(self), (self.strategy, self.ids, self.keys, self.denominator)
 
     @property
     def name(self) -> str:
@@ -227,4 +240,4 @@ def rank(
     ids, keys = tuple(map(pool._ids.__getitem__, order)), tuple(map(keys.__getitem__, order))
     if kind is StrategyKind.RANDOM:  # sorting the floats was faster than their keys
         keys = tuple(map(int, map(mul, keys, repeat(2.0**53))))
-    return RankedList._from_sorted(kind, ids, keys, denominator)
+    return RankedList._from_sorted(kind, ids, keys, denominator, order, pool._position)

@@ -1,5 +1,10 @@
+import copy
+import dataclasses
+import pickle
 import random
 import re
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -480,6 +485,175 @@ def test_f1_curve_checks_a_plain_pool_like_a_pool(six_case, labels, message):
     plain = [Instance(iid, label) for iid, label in labels]
     with pytest.raises(ValidationError, match=f"^{message}$"):
         f1_curve(preds, plain, ranking, make_gold(pool, {}), BudgetSchedule((0,)), NEG)
+
+
+# -- coverage: every curve needs a ranking of exactly its pool's ids ------------
+
+# rankings that miss a pool: the same size over another id, an id fewer, an id more
+MISMATCHES = {
+    "other ids": lambda ids: [*ids[:-1], "x"],
+    "an id fewer": lambda ids: ids[:-1],
+    "an id more": lambda ids: [*ids, "x"],
+}
+PAST_EVERY_POOL = BudgetSchedule((0, 1, 20))  # coverage is checked before the budgets
+
+
+@pytest.mark.parametrize("mismatch", MISMATCHES.values(), ids=MISMATCHES)
+def test_efficiency_refuses_a_ranking_of_other_instances(ten_pool, mismatch):
+    pool, gold = ten_pool
+    ranking = ordered_ranking(mismatch(list(pool.ids())))
+    for schedule in (BudgetSchedule((0, 2)), PAST_EVERY_POOL):
+        with pytest.raises(ValidationError, match="^gold and ranking cover different pools$"):
+            efficiency_curve(ranking, gold, schedule)
+    clean = make_gold(pool, {"e1": "x"})  # the empty noisy set is checked first
+    with pytest.raises(ValidationError, match="noisy set is empty"):
+        efficiency_curve(ranking, clean, PAST_EVERY_POOL)
+
+
+@pytest.mark.parametrize("mismatch", MISMATCHES.values(), ids=MISMATCHES)
+def test_f1_curve_refuses_a_ranking_of_other_instances(six_case, mismatch):
+    pool, preds = six_case
+    gold = make_gold(pool, {"e2": "B"})
+    ranking = ordered_ranking(mismatch(list(pool.ids())))
+    for schedule in (BudgetSchedule((0, 2)), PAST_EVERY_POOL):
+        with pytest.raises(ValidationError, match="^pool and ranking cover different instances$"):
+            f1_curve(preds, pool, ranking, gold, schedule, NEG)
+    # a pool id without predictions is found first
+    unpredicted = make_pool({"e1": "A", "e2": "A", "e3": "B", "e4": NEG, "e5": "B", "e7": "A"})
+    with pytest.raises(ValidationError, match="no predictions for instance 'e7'"):
+        f1_curve(preds, unpredicted, ranking, make_gold(unpredicted, {}), PAST_EVERY_POOL, NEG)
+
+
+@pytest.mark.parametrize("mismatch", MISMATCHES.values(), ids=MISMATCHES)
+def test_jaccard_refuses_rankings_of_other_instances(mismatch):
+    ids = ["a", "b", "c", "d"]
+    one, two = ordered_ranking(ids), ordered_ranking(mismatch(ids))
+    for schedule in (BudgetSchedule((0, 2)), PAST_EVERY_POOL):
+        for a, b in ((one, two), (two, one)):
+            with pytest.raises(ValidationError, match="^rankings cover different pools$"):
+                jaccard_curve(a, b, schedule)
+
+
+def _bundle(ids, seed):
+    """A pool over `ids` with two models' predictions and noisy gold, all drawn from `seed`."""
+    rng = random.Random(seed)
+    universe = ["A", "B", NEG]
+    pool = make_pool({iid: rng.choice(universe) for iid in ids})
+    preds = make_predictions(
+        pool, {m: {iid: rng.choice(universe) for iid in ids} for m in ("m1", "m2")}
+    )
+    relabels = {iid: rng.choice([*universe, None]) for iid in ids if rng.random() < 0.5}
+    relabels[ids[0]] = "C"  # never a pool label, so the noisy set is not empty
+    return pool, preds, relabels
+
+
+SAME_IDS = {
+    "relabeled": lambda pool: apply_label_map(pool, {label: label for label in pool.labels()}),
+    "rows reversed": lambda pool: make_pool({inst.id: inst.label for inst in [*pool][::-1]}),
+}
+
+
+@pytest.mark.parametrize("same_ids", SAME_IDS.values(), ids=SAME_IDS)
+def test_curves_of_a_rank_output_over_a_pool_with_the_same_ids(same_ids):
+    # scored against gold, predictions or a ranking over another pool of the
+    # same ids, a rank output is gathered by id and gives the same curves
+    ids = [f"e{i:02d}" for i in range(30)]
+    pool, preds, relabels = _bundle(ids, 5)
+    same = same_ids(pool)
+    gold, same_gold = make_gold(pool, relabels), make_gold(same, relabels)
+    same_preds = make_predictions(
+        same, {m: {r.instance_id: r.label for r in preds.records_for_model(m)}
+               for m in preds.model_ids}
+    )
+    ranking = rank(pool, None, None, StrategyKind.RANDOM, seed=3)
+    other, same_other = (rank(p, None, None, StrategyKind.RANDOM, seed=4) for p in (pool, same))
+    schedule = BudgetSchedule.evenly(7, len(pool))
+    assert efficiency_curve(ranking, same_gold, schedule) == efficiency_curve(
+        ranking, gold, schedule
+    )
+    assert jaccard_curve(ranking, same_other, schedule) == jaccard_curve(ranking, other, schedule)
+    assert jaccard_curve(same_other, ranking, schedule) == jaccard_curve(other, ranking, schedule)
+    expected = f1_curve(preds, pool, ranking, gold, schedule, NEG)
+    assert f1_curve(same_preds, same, ranking, same_gold, schedule, NEG) == expected
+    assert f1_curve(preds, same, ranking, gold, schedule, NEG) == expected
+
+
+@pytest.mark.parametrize("mismatch", MISMATCHES.values(), ids=MISMATCHES)
+@pytest.mark.parametrize("built", ["by rank", "by hand"])
+def test_a_ranking_over_another_pool_is_refused(mismatch, built):
+    # a rank output over one pool is refused on another, as a hand-built list is
+    ids = [f"e{i:02d}" for i in range(10)]
+    pool = make_pool({iid: "A" for iid in ids})
+    other_pool, preds, relabels = _bundle(mismatch(ids), 6)
+    gold = make_gold(other_pool, relabels)
+    ranking = rank(pool, None, None, StrategyKind.RANDOM, seed=1)
+    if built == "by hand":
+        ranking = RankedList(ranking.strategy, ranking.ids, ranking.keys, ranking.denominator)
+    other = rank(other_pool, None, None, StrategyKind.RANDOM, seed=1)
+    with pytest.raises(ValidationError, match="^gold and ranking cover different pools$"):
+        efficiency_curve(ranking, gold, PAST_EVERY_POOL)
+    with pytest.raises(ValidationError, match="^pool and ranking cover different instances$"):
+        f1_curve(preds, other_pool, ranking, gold, PAST_EVERY_POOL, NEG)
+    for a, b in ((ranking, other), (other, ranking)):
+        with pytest.raises(ValidationError, match="^rankings cover different pools$"):
+            jaccard_curve(a, b, PAST_EVERY_POOL)
+
+
+def test_a_copied_ranking_gathers_its_rows_and_gives_the_same_curves():
+    # a pickled, copied or replaced list equals its original but keeps none of
+    # the pool rows that rank keeps, so the curves gather its rows by id
+    ids = [f"e{i:02d}" for i in range(30)]
+    pool, preds, relabels = _bundle(ids, 7)
+    gold = make_gold(pool, relabels)
+    ranking = rank(pool, preds, None, StrategyKind.CONFIDENCE)
+    other = rank(pool, None, None, StrategyKind.RANDOM, seed=2)
+    schedule = BudgetSchedule.evenly(7, len(pool))
+    assert ranking._over is pool._position
+    copies = [
+        pickle.loads(pickle.dumps(ranking)), copy.copy(ranking), copy.deepcopy(ranking),
+        dataclasses.replace(ranking),
+    ]
+    for copied in copies:
+        assert (copied, hash(copied), repr(copied)) == (ranking, hash(ranking), repr(ranking))
+        assert copied._rows is None and copied._over is None
+        assert efficiency_curve(copied, gold, schedule) == efficiency_curve(
+            ranking, gold, schedule
+        )
+        assert jaccard_curve(copied, other, schedule) == jaccard_curve(ranking, other, schedule)
+        assert jaccard_curve(other, copied, schedule) == jaccard_curve(other, ranking, schedule)
+        assert f1_curve(preds, pool, copied, gold, schedule, NEG) == f1_curve(
+            preds, pool, ranking, gold, schedule, NEG
+        )
+
+
+def test_curves_from_many_threads_read_whole_caches():
+    # the gold set's noisy flags and f1_curve's state on the predictions are
+    # each one store of a finished value: threads racing to build them on
+    # fresh sets all get the curves of a single thread
+    ids = [f"e{i:03d}" for i in range(300)]
+    pool, preds, relabels = _bundle(ids, 8)
+    by_model = {
+        m: {r.instance_id: r.label for r in preds.records_for_model(m)} for m in preds.model_ids
+    }
+    ranking = rank(pool, None, None, StrategyKind.RANDOM, seed=1)
+    schedule = BudgetSchedule.evenly(11, len(pool))
+
+    def curves(preds, gold):
+        return efficiency_curve(ranking, gold, schedule), f1_curve(
+            preds, pool, ranking, gold, schedule, NEG
+        )
+
+    expected = curves(preds, make_gold(pool, relabels))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(4):
+            fresh = make_predictions(pool, by_model), make_gold(pool, relabels)
+            with ThreadPoolExecutor(max_workers=8) as pool_of_threads:
+                futures = [pool_of_threads.submit(curves, *fresh) for _ in range(8)]
+                assert all(future.result(timeout=60) == expected for future in futures)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_ranking_with_repeated_id_is_rejected():

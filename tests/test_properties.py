@@ -10,9 +10,11 @@ code with evaluate.
 Ranking: on random trees, every strategy orders the pool by (score
 descending, id ascending), with scores recomputed from the BFS and
 ancestor-set oracles in helpers; efficiency and Jaccard curves keep their
-bounds, endpoints, monotonicity and symmetry. Confidence keys: over
-confidences down to subnormals, each key over the ranking's denominator is
-exactly the mean of the disagreeing models' confidences. CLI fuzz: command lines
+bounds, endpoints, monotonicity and symmetry, and every curve of a
+hand-built copy of a ranking equals that curve of `rank`'s own list.
+Confidence keys: over confidences down to subnormals, each key over the
+ranking's denominator is exactly the mean of the disagreeing models'
+confidences. CLI fuzz: command lines
 drawn from the CLI grammar, each flag left out or given a valid or a hostile
 value, run in process on a tiny synth bundle.
 """
@@ -503,6 +505,32 @@ def test_rank_and_curves_on_random_trees(case):
             assert overlap == jaccard_curve(other, ranking, schedule).values()
             assert overlap[0] == 1 and overlap[-1] == 1
             assert all(0 <= value <= 1 for value in overlap)
+
+
+@SETTINGS
+@given(case=ranking_cases())
+def test_curves_of_a_hand_built_copy_equal_those_of_the_rank_output(case):
+    # rank's list reads its pool rows in place, a hand-built copy gathers them
+    # by id: the two compare, hash and print alike and give the same curves
+    hierarchy, pool, preds, gold, seed = case
+    schedule = BudgetSchedule(tuple(range(len(pool) + 1)))
+    ranked = [rank(pool, preds, hierarchy, kind, seed=seed) for kind in StrategyKind]
+    for ranking in ranked:
+        built = RankedList(ranking.strategy, ranking.ids, ranking.keys, ranking.denominator)
+        assert (built, hash(built), repr(built)) == (ranking, hash(ranking), repr(ranking))
+        assert efficiency_curve(built, gold, schedule) == efficiency_curve(
+            ranking, gold, schedule
+        )
+        assert f1_curve(preds, pool, built, gold, schedule, NEG) == f1_curve(
+            preds, pool, ranking, gold, schedule, NEG
+        )
+        for other in ranked:
+            assert jaccard_curve(built, other, schedule) == jaccard_curve(
+                ranking, other, schedule
+            )
+            assert jaccard_curve(other, built, schedule) == jaccard_curve(
+                other, ranking, schedule
+            )
 
 
 # -- exact confidence keys ----------------------------------------------------
