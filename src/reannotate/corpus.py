@@ -453,7 +453,7 @@ def _flat(chunk: list[str]) -> list[dict] | None:
     return records
 
 
-def _jsonl_chunks(path: Path, bulk: bool) -> Iterator[tuple[list[dict], Iterator[str]]]:
+def _jsonl_chunks(path: Path) -> Iterator[tuple[list[dict], Iterator[str]]]:
     r"""Per _CHUNK lines, their records and each record's "path:line".
 
     Read whole, so an invalid UTF-8 byte decides before any record. Only "\n"
@@ -468,7 +468,7 @@ def _jsonl_chunks(path: Path, bulk: bool) -> Iterator[tuple[list[dict], Iterator
         chunk = lines[start : start + _CHUNK]
         numbers = compress(count(start + 1), map(str.strip, chunk))  # of the non-blank lines
         wheres = map("{}:{}".format, repeat(path), numbers)
-        records = _flat(chunk) if bulk else None
+        records = _flat(chunk)
         if records is None:
             records = []
             for lineno, line in compress(enumerate(chunk, start + 1), map(str.strip, chunk)):
@@ -484,9 +484,9 @@ def _jsonl_chunks(path: Path, bulk: bool) -> Iterator[tuple[list[dict], Iterator
         yield records, wheres
 
 
-def _read_pool(path: Path, format: str, bulk: bool) -> ReannotationPool:
+def _read_pool(path: Path, format: str) -> ReannotationPool:
     if format == "jsonl":
-        chunks = _jsonl_chunks(path, bulk)
+        chunks = _jsonl_chunks(path)
     elif format == "tacred":
         doc = _read_json(path)
         if not isinstance(doc, list):
@@ -499,8 +499,8 @@ def _read_pool(path: Path, format: str, bulk: bool) -> ReannotationPool:
     partitions: list[str | None] = []
     metadata: dict[int, Mapping[str, Any]] = {}
     for records, wheres in chunks:
-        columns = bulk and _columns(records, _POOL_FIELDS)
-        if not columns:  # word the first defect, if any
+        columns = _columns(records, _POOL_FIELDS)
+        if columns is None:  # word the first defect, if any
             for obj, where in zip(records, wheres):
                 if not isinstance(obj, dict):  # only a tacred entry can be other
                     raise ParseError(f"{where} is not an object")
@@ -517,10 +517,6 @@ def _read_pool(path: Path, format: str, bulk: bool) -> ReannotationPool:
     return ReannotationPool._from_columns(ids, labels, partitions, metadata)
 
 
-def _pool_by_line(path: Path) -> ReannotationPool:
-    return _read_pool(path, "jsonl", bulk=False)
-
-
 def load_pool(source: str | Path, format: str = "jsonl") -> ReannotationPool:
     """Load the reannotation pool.
 
@@ -529,7 +525,7 @@ def load_pool(source: str | Path, format: str = "jsonl") -> ReannotationPool:
     ``tacred``: a single JSON array of objects with fields id and relation,
     other fields kept opaquely.
     """
-    return _read_pool(Path(source), format, bulk=True)
+    return _read_pool(Path(source), format)
 
 
 def write_pool(pool: ReannotationPool, target: str | Path) -> None:
@@ -543,14 +539,14 @@ def write_pool(pool: ReannotationPool, target: str | Path) -> None:
             fh.write(json.dumps(obj) + "\n")
 
 
-def _read_predictions(paths: list[Path], pool: ReannotationPool, bulk: bool) -> PredictionSet:
+def _read_predictions(paths: list[Path], pool: ReannotationPool) -> PredictionSet:
     position = pool._position
     columns: _PredictionColumns = {}
     read_from: dict[str, Path] = {}
     for path in paths:
         model = None  # the file's, from its first record on
-        for records, wheres in _jsonl_chunks(path, bulk):
-            fields = bulk and records and _columns(records, _PREDICTION_FIELDS)
+        for records, wheres in _jsonl_chunks(path):
+            fields = records and _columns(records, _PREDICTION_FIELDS)
             if fields and model is None and fields[0][0] not in read_from:
                 model = fields[0][0]
                 read_from[model] = path
@@ -597,10 +593,6 @@ def _read_predictions(paths: list[Path], pool: ReannotationPool, bulk: bool) -> 
     return PredictionSet._from_columns(pool, columns)
 
 
-def _predictions_by_line(paths: list[Path], pool: ReannotationPool) -> PredictionSet:
-    return _read_predictions(paths, pool, bulk=False)
-
-
 def load_predictions(
     sources: Iterable[str | Path], pool: ReannotationPool
 ) -> PredictionSet:
@@ -610,7 +602,7 @@ def load_predictions(
     holds exactly one model, and no other file uses that model. Records go
     to the set as they are read, so the first defective one decides the error.
     """
-    return _read_predictions(list(map(Path, sources)), pool, bulk=True)
+    return _read_predictions(list(map(Path, sources)), pool)
 
 
 def write_predictions(
@@ -628,11 +620,11 @@ def write_predictions(
             fh.write(json.dumps(obj) + "\n")
 
 
-def _read_gold(path: Path, pool: ReannotationPool, bulk: bool) -> GoldSet:
+def _read_gold(path: Path, pool: ReannotationPool) -> GoldSet:
     position = pool._position
     gold: dict[str, str | _EliminatedType] = {}
-    for records, wheres in _jsonl_chunks(path, bulk):
-        fields = bulk and _columns(records, _GOLD_FIELDS)
+    for records, wheres in _jsonl_chunks(path):
+        fields = _columns(records, _GOLD_FIELDS)
         if fields:
             ids, values = fields
             chunk_gold = dict(zip(ids, [ELIMINATED if v is None else v for v in values]))
@@ -650,13 +642,9 @@ def _read_gold(path: Path, pool: ReannotationPool, bulk: bool) -> GoldSet:
     return GoldSet._from_values(gold, pool)
 
 
-def _gold_by_line(path: Path, pool: ReannotationPool) -> GoldSet:
-    return _read_gold(path, pool, bulk=False)
-
-
 def load_gold(source: str | Path, pool: ReannotationPool) -> GoldSet:
     """Load gold relabels: jsonl records with fields id and gold (null = eliminated)."""
-    return _read_gold(Path(source), pool, bulk=True)
+    return _read_gold(Path(source), pool)
 
 
 def write_gold(gold: GoldSet, target: str | Path) -> None:

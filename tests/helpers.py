@@ -1,10 +1,16 @@
-"""Shared test utilities: brute-force oracles and small fixture builders.
+"""Shared test utilities: brute-force oracles, reference loaders and small
+fixture builders.
 
 The oracles work from raw (name, parent) records via BFS / ancestor-set
-enumeration, independently of the package's depth-walk query path.
+enumeration, independently of the package's depth-walk query path. The
+reference loaders read JSON Lines inputs one line at a time from the README's
+input spec, independently of `reannotate.corpus`.
 """
 
+import json
 from collections import deque
+from functools import wraps
+from pathlib import Path
 
 from reannotate import (
     ELIMINATED,
@@ -137,13 +143,187 @@ def ordered_ranking(ids, kind=StrategyKind.GD):
 
 
 def loader_outcome(load, *args):
-    """What a loader returned, as a repr that tells 1 from 1.0, or the error it raised."""
+    """What a loader returned, as the repr of plain values (it tells 1 from 1.0),
+    or the error it raised."""
     try:
         loaded = load(*args)
     except (ParseError, ValidationError) as exc:
         return type(exc), str(exc)
     if isinstance(loaded, ReannotationPool):
-        return repr(list(loaded))
+        return repr([
+            {"id": inst.id, "relation": inst.label, "partition": inst.partition,
+             "metadata": dict(inst.metadata)}
+            for inst in loaded
+        ])
     if isinstance(loaded, PredictionSet):
-        return repr([loaded.records_for_model(m) for m in loaded.model_ids])
-    return repr((loaded.records(), sorted(loaded.noisy_ids)))
+        return repr({
+            model: [(rec.instance_id, rec.label, rec.confidence)
+                    for rec in loaded.records_for_model(model)]
+            for model in loaded.model_ids
+        })
+    return repr({
+        "gold": {rec.instance_id: None if rec.is_eliminated else rec.gold
+                 for rec in loaded.records()},
+        "noisy": sorted(loaded.noisy_ids),
+    })
+
+
+def against_reference(load, reference, *args):
+    """(what `load` gave, what `reference` gave) for the same arguments, in the
+    reference's terms: the repr of the accepted values, or the error class with
+    the location its message names. A ParseError's location is the head of its
+    message ("path:line", or the path); a ValidationError's is the part of the
+    path, model and instance id the reference expects that its message names."""
+    expected = reference(*args)
+    actual = loader_outcome(load, *args)
+    if isinstance(actual, tuple):
+        kind, message = actual
+        if kind is ParseError:
+            names = (message.split(": ", 1)[0],)
+        else:
+            expected_names = expected[1] if isinstance(expected, tuple) else ()
+            names = tuple(name for name in expected_names if name in message)
+        actual = kind, names
+    return actual, expected if isinstance(expected, tuple) else repr(expected)
+
+
+# -- reference loaders -------------------------------------------------------
+#
+# JSON Lines as the README's "Input files" section has it: UTF-8, one object
+# per line, only "\n" ends a line, blank lines are skipped, and each record is
+# checked as it is read, in read order. Each loader returns the accepted values
+# as plain lists and dicts, or on the first defect (error class, names): the
+# "path:line" a ParseError names, or the path, model and instance id (models
+# and ids as reprs) that a ValidationError names.
+
+
+class _Defect(Exception):
+    """The first defect: (error class, names)."""
+
+
+def _refuse(kind, *names):
+    raise _Defect(kind, names)
+
+
+def _reference(read):
+    @wraps(read)
+    def outcome(*args):
+        try:
+            return read(*args)
+        except _Defect as defect:
+            return defect.args
+    return outcome
+
+
+def _objects(path):
+    """("path:line", object) per non-blank line, after the whole file decodes."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        _refuse(ParseError, str(path))
+    for lineno, line in enumerate(text.split("\n"), 1):
+        if not line.strip():
+            continue
+        where = f"{path}:{lineno}"
+        try:
+            obj = json.loads(line)
+        except (ValueError, RecursionError):  # incl. over-long ints
+            _refuse(ParseError, where)
+        if not isinstance(obj, dict):
+            _refuse(ParseError, where)
+        yield where, obj
+
+
+def _is_string(obj, key, null_too=False):
+    return type(obj.get(key)) is str or (null_too and obj.get(key) is None)
+
+
+@_reference
+def reference_pool(path):
+    """Instances as dicts in file order; ids, labels and partitions are checked
+    once every line is read."""
+    rows = []
+    for where, obj in _objects(path):
+        if not (
+            _is_string(obj, "id") and _is_string(obj, "relation")
+            and _is_string(obj, "partition", null_too=True)
+        ):
+            _refuse(ParseError, where)
+        partition = obj.get("partition")
+        rows.append({
+            "id": obj["id"], "relation": obj["relation"],
+            "partition": partition and partition.lower(),
+            "metadata": {k: v for k, v in obj.items() if k not in ("id", "relation", "partition")},
+        })
+    if not rows:
+        _refuse(ValidationError)
+    seen = set()
+    for row in rows:
+        iid = row["id"]
+        if not iid:
+            _refuse(ValidationError)
+        if not row["relation"] or row["partition"] not in (None, "train", "dev", "test"):
+            _refuse(ValidationError, repr(iid))
+        if iid in seen:
+            _refuse(ValidationError, repr(iid))
+        seen.add(iid)
+    return rows
+
+
+@_reference
+def reference_predictions(paths, pool):
+    """Per model, in file order, its (id, label, confidence) rows in pool order;
+    completeness is checked after the last file."""
+    known = set(pool.ids())
+    table = {}  # model -> {id: (label, confidence)}
+    read_from = {}
+    for path in paths:
+        model = None
+        for where, obj in _objects(path):
+            if not (
+                all(_is_string(obj, key) for key in ("model", "id", "label"))
+                and type(obj.get("confidence")) in (int, float)  # a bool is no number
+            ):
+                _refuse(ParseError, where)
+            if model is None:
+                model = obj["model"]
+                if model in read_from:
+                    _refuse(ValidationError, str(path), repr(model), str(read_from[model]))
+                read_from[model] = path
+                table[model] = {}
+            elif obj["model"] != model:
+                _refuse(ValidationError, str(path), repr(model), repr(obj["model"]))
+            iid = obj["id"]
+            try:
+                confidence = float(obj["confidence"])
+            except OverflowError:
+                _refuse(ValidationError, where)
+            if not 0 <= confidence <= 1 or iid not in known or iid in table[model]:
+                _refuse(ValidationError, repr(model), repr(iid))
+            table[model][iid] = (obj["label"], confidence)
+        if model is None:
+            _refuse(ValidationError, str(path))
+    if not table:
+        _refuse(ValidationError)
+    for model, rows in table.items():
+        for iid in pool.ids():
+            if iid not in rows:
+                _refuse(ValidationError, repr(model), repr(iid))
+    return {
+        model: [(iid, *rows[iid]) for iid in pool.ids()] for model, rows in table.items()
+    }
+
+
+@_reference
+def reference_gold(path, pool):
+    """The id -> gold map in file order (None: eliminated) and the sorted noisy ids."""
+    gold = {}
+    for where, obj in _objects(path):
+        if not (_is_string(obj, "id") and "gold" in obj and _is_string(obj, "gold", null_too=True)):
+            _refuse(ParseError, where)
+        iid, value = obj["id"], obj["gold"]
+        if iid not in pool or iid in gold or value == "":
+            _refuse(ValidationError, repr(iid))
+        gold[iid] = value
+    noisy = sorted(iid for iid, value in gold.items() if value != pool.label_of(iid))
+    return {"gold": gold, "noisy": noisy}

@@ -1,0 +1,152 @@
+"""Mutation smoke test for the JSON Lines loaders' checks.
+
+Each mutant below is applied alone to a copy of src/, tests/ and
+pyproject.toml in a temporary directory, and the loader tests run there:
+
+    python tests/mutants.py
+
+A mutant must make the tests fail, except the one marked equivalent, which
+changes no outcome of any loader and is only reported. Exit status: 0 when
+every other mutant fails the tests, 1 naming each one that survives, 2 when a
+patch's anchor text does not occur exactly once in its file, when the
+unmutated copy does not pass, or when the tests did not import the copy's
+`reannotate`. Stdlib only; pytest's file pattern does not collect this file.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = "src/reannotate/corpus.py"
+TESTS = ["tests/test_corpus.py", "tests/test_properties.py"]
+PYTEST = ["-q", "-x", "-p", "no:cacheprovider", *TESTS]
+# `python -m pytest`, but only once the `reannotate` that the tests will use is
+# known to be the copy's: `pythonpath = ["src"]` and an editable install of
+# the checkout could each put another one first.
+PROBED = """
+import sys
+from pathlib import Path
+import pytest
+try:
+    import reannotate
+except Exception as exc:  # a mutant that breaks the import decides nothing
+    print(f"cannot import reannotate: {exc!r}", file=sys.stderr)
+    sys.exit(99)
+if not Path(reannotate.__file__).resolve().is_relative_to(Path.cwd().resolve()):
+    print(f"the tests import {reannotate.__file__}, not the copy's", file=sys.stderr)
+    sys.exit(99)
+sys.exit(pytest.main(sys.argv[1:]))
+"""
+
+# (name, file, anchor, replacement, equivalent)
+MUTANTS = [
+    (
+        "(a) _flat accepts lines with up to two '{' and two '}'",
+        CORPUS,
+        '        or set(map(str.count, lines, repeat("{"))) != {1}\n'
+        '        or set(map(str.count, lines, repeat("}"))) != {1}\n',
+        '        or not set(map(str.count, lines, repeat("{"))) <= {1, 2}\n'
+        '        or not set(map(str.count, lines, repeat("}"))) <= {1, 2}\n',
+        False,
+    ),
+    (
+        "(b) _columns skips the confidence type check",
+        CORPUS,
+        "        if not types.issuperset(map(type, column)):\n",
+        '        if key != "confidence" and not types.issuperset(map(type, column)):\n',
+        True,  # _read_predictions' own {float} check sends the same chunks record by record
+    ),
+    (
+        "(b') _read_predictions' column path takes int confidences",
+        CORPUS,
+        "                    and set(map(type, confs)) == {float}"
+        "  # ints go by record, to become floats\n",
+        "",
+        False,
+    ),
+    (
+        "(c) _checked passes a bool confidence",
+        CORPUS,
+        "        if type(value) not in types:\n",
+        "        if type(value) not in types"
+        ' and not (key == "confidence" and type(value) is bool):\n',
+        False,
+    ),
+    (
+        "(d) _place_gold accepts a repeated id",
+        CORPUS,
+        "    if iid in gold:\n"
+        '        raise ValidationError(f"duplicate gold record for {iid!r}")\n',
+        "",
+        False,
+    ),
+    (
+        "(e) _columns skips the model and id type checks of predictions",
+        CORPUS,
+        "        if not types.issuperset(map(type, column)):\n",
+        "        if not (fields is _PREDICTION_FIELDS and key in ('model', 'id'))"
+        " and not types.issuperset(map(type, column)):\n",
+        False,
+    ),
+]
+
+
+def copy_tree(target: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", "*.egg-info")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, target / name, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", target / "pyproject.toml")
+
+
+def run_tests(target: Path) -> int:
+    env = {**os.environ, "PYTHONPATH": str(target / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    done = subprocess.run(
+        [sys.executable, "-c", PROBED, *PYTEST],
+        cwd=target, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+    )
+    if done.returncode not in (0, 1):  # 1: a test failed; anything else is no verdict
+        print(f"pytest exited {done.returncode} in {target}:\n{done.stderr}", file=sys.stderr)
+        sys.exit(2)
+    return done.returncode
+
+
+def main() -> int:
+    for name, file, anchor, _, _ in MUTANTS:
+        found = (ROOT / file).read_text(encoding="utf-8").count(anchor)
+        if found != 1:
+            print(f"{name}: anchor occurs {found} times in {file}; update tests/mutants.py")
+            return 2
+    with tempfile.TemporaryDirectory(prefix="mutants-") as scratch:
+        baseline = Path(scratch) / "baseline"
+        copy_tree(baseline)
+        if run_tests(baseline) != 0:
+            print("the unmutated copy fails the tests; no mutant can be judged")
+            return 2
+        survivors = []
+        for i, (name, file, anchor, replacement, equivalent) in enumerate(MUTANTS):
+            target = Path(scratch) / f"mutant{i}"
+            copy_tree(target)
+            path = target / file
+            path.write_text(
+                path.read_text(encoding="utf-8").replace(anchor, replacement), encoding="utf-8"
+            )
+            caught = run_tests(target) == 1
+            if equivalent:
+                verdict = "equivalent, yet caught" if caught else "equivalent, survives"
+            else:
+                verdict = "caught" if caught else "SURVIVES"
+                if not caught:
+                    survivors.append(name)
+            print(f"{name}: {verdict}", flush=True)
+    if survivors:
+        print("surviving mutants: " + "; ".join(survivors))
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -200,6 +200,19 @@ def test_integer_confidence_past_float_range_exits_1(worked_bundle, capsys):
     assert err == f"error: {path}:1: confidence out of [0, 1]\n"
 
 
+@pytest.mark.parametrize("key, value", [("model", ["m1"]), ("id", {"x": 1})])
+def test_unhashable_model_or_id_exits_2(worked_bundle, capsys, key, value):
+    # a list or object where a string belongs must not reach a set or a dict lookup
+    tmp_path, flags = worked_bundle
+    path = tmp_path / "preds_m1.jsonl"
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    records[1][key] = value
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    out = tmp_path / "out"
+    assert main(["rank", *flags, "--strategy", "gd", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {path}:2: field {key!r} must be a string\n"
+
+
 def test_validate_applies_label_map(tmp_path, excerpt):
     pool = make_pool({"s1": "old_name"})
     flags = write_bundle(tmp_path, excerpt, pool)

@@ -1,13 +1,24 @@
+import ast
 import builtins
 import gc
 import io
 import json
 import random
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
-from helpers import loader_outcome, make_gold, make_pool, make_predictions
+from helpers import (
+    against_reference,
+    loader_outcome,
+    make_gold,
+    make_pool,
+    make_predictions,
+    reference_gold,
+    reference_pool,
+    reference_predictions,
+)
 from reannotate import (
     ELIMINATED,
     GoldRecord,
@@ -503,6 +514,7 @@ TRAPS = [
         '"relation": "a"}',
         '{"id": "e2", "relation": "a"}, {"id": "e3", "relation": "a"}',
     ],
+    ['{"a":1}, {"b":2', '"c": {"d": 3}}', '{"e":1}'],  # nested objects without "["
 ]
 
 
@@ -539,18 +551,7 @@ def _flat_bundle(tmp_path):
 
 def test_complete_shuffled_files_take_the_bulk_path(tmp_path, monkeypatch):
     pool_path, prediction_paths, gold_path = _flat_bundle(tmp_path)
-    pool = corpus._pool_by_line(pool_path)
-
-    def no_flat(chunk):
-        raise AssertionError("a per-line loader took the flat parse")
-
-    with monkeypatch.context() as patch:
-        patch.setattr(corpus, "_flat", no_flat)
-        expected = [
-            loader_outcome(corpus._pool_by_line, pool_path),
-            loader_outcome(corpus._predictions_by_line, prediction_paths, pool),
-            loader_outcome(corpus._gold_by_line, gold_path, pool),
-        ]
+    pool = load_pool(pool_path)
 
     def refuse(obj, fields, where):
         raise AssertionError(f"{where} was checked record by record")
@@ -565,11 +566,14 @@ def test_complete_shuffled_files_take_the_bulk_path(tmp_path, monkeypatch):
     parsed = []
     monkeypatch.setattr(corpus, "_checked", refuse)
     monkeypatch.setattr(corpus, "_flat", flat)
-    assert [
-        loader_outcome(load_pool, pool_path),
-        loader_outcome(load_predictions, prediction_paths, pool),
-        loader_outcome(load_gold, gold_path, pool),
-    ] == expected
+    outcomes = [
+        against_reference(load_pool, reference_pool, pool_path),
+        against_reference(load_predictions, reference_predictions, prediction_paths, pool),
+        against_reference(load_gold, reference_gold, gold_path, pool),
+    ]
+    for actual, expected in outcomes:
+        assert isinstance(expected, str)  # accepted
+        assert actual == expected
     assert len(parsed) == 600 + 2 * 600 + 300  # every record came from the flat parse
 
 
@@ -595,8 +599,39 @@ CHUNK_EDGES = [
 ]
 
 
-# One defect on an otherwise flat, complete file. load_* answers exactly as the
-# per-line path does, and where that path raises, the bulk path only gives up.
+def test_reference_loaders_name_nothing_private_of_corpus():
+    # a reference that shared the loaders' checks could not catch a defect in them
+    private = {
+        name for name in vars(corpus) if name.startswith("_") and not name.startswith("__")
+    }
+    tree = ast.parse((Path(__file__).parent / "helpers.py").read_text(encoding="utf-8"))
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.alias):
+            named.update(node.name.split("."))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            named.add(node.value)  # getattr(corpus, "_flat")
+    assert {"_checked", "_flat", "_columns", "_jsonl_chunks", "_read_gold"} <= private
+    assert named & private == set()
+
+
+def _against_reference(kind, path, pool_path, prediction_paths):
+    """load_* on the edited `path` of a _flat_bundle and the reference loader, as
+    helpers.against_reference gives them."""
+    if kind == "pool":
+        return against_reference(load_pool, reference_pool, path)
+    pool = load_pool(pool_path)
+    if kind == "gold":
+        return against_reference(load_gold, reference_gold, path, pool)
+    return against_reference(load_predictions, reference_predictions, prediction_paths, pool)
+
+
+# One defect on an otherwise flat, complete file. load_* answers as the reference
+# loader does, and where that raises, the bulk path only gives up.
 @pytest.mark.parametrize("kind, row, key, value", [
     ("pool", 5, "id", "repeat"),
     ("pool", 5, "id", ""),
@@ -624,6 +659,13 @@ CHUNK_EDGES = [
     ("gold", 5, "gold", 3),
     ("gold", 5, None, None),
     *CHUNK_EDGES,
+    # unhashable values, which the column checks must refuse before any set or dict sees them
+    *(
+        (kind, 5, key, value)
+        for kind, key in [("predictions", "model"), ("predictions", "id"), ("pool", "id"),
+                          ("gold", "id")]
+        for value in (["m2"], {"x": 1}, [1])
+    ),
 ])
 def test_bulk_path_leaves_each_defect_to_the_per_line_path(tmp_path, kind, row, key, value):
     pool_path, prediction_paths, gold_path = _flat_bundle(tmp_path)
@@ -634,14 +676,8 @@ def test_bulk_path_leaves_each_defect_to_the_per_line_path(tmp_path, kind, row, 
     else:
         records[row][key] = records[0][key] if value == "repeat" else value
     jsonl(path, records)
-    pool = corpus._pool_by_line(pool_path) if kind != "pool" else None
-    load, by_line, args = {
-        "pool": (load_pool, corpus._pool_by_line, [path]),
-        "predictions": (load_predictions, corpus._predictions_by_line, [prediction_paths, pool]),
-        "gold": (load_gold, corpus._gold_by_line, [path, pool]),
-    }[kind]
-    expected = loader_outcome(by_line, *args)
-    assert loader_outcome(load, *args) == expected
+    actual, expected = _against_reference(kind, path, pool_path, prediction_paths)
+    assert actual == expected
 
 
 # The same defects with an invalid JSON line three rows below. Its chunk is
@@ -657,15 +693,10 @@ def test_a_defect_decides_before_an_invalid_line_below_it(tmp_path, kind, row, k
     lines[row] = json.dumps(record)
     lines.insert(row + 3, "{bad")
     path.write_text("\n".join(lines) + "\n")
-    pool = corpus._pool_by_line(pool_path) if kind != "pool" else None
-    load, by_line, args = {
-        "pool": (load_pool, corpus._pool_by_line, [path]),
-        "predictions": (load_predictions, corpus._predictions_by_line, [prediction_paths, pool]),
-        "gold": (load_gold, corpus._gold_by_line, [path, pool]),
-    }[kind]
-    expected = loader_outcome(by_line, *args)
-    assert ("invalid JSON" in expected[1]) == (kind == "pool" or value == 1)
-    assert loader_outcome(load, *args) == expected
+    actual, expected = _against_reference(kind, path, pool_path, prediction_paths)
+    at_bad_line = (ParseError, (f"{path}:{lines.index('{bad') + 1}",))
+    assert (expected == at_bad_line) == (kind == "pool" or value == 1)
+    assert actual == expected
 
 
 # Read order, pinned by message rather than against the per-line loaders: the
@@ -710,6 +741,8 @@ READ_ORDER = [
      (ParseError, "{path}:501: field 'relation' must be a string")),
     ("pool", {300: {"id": ("row", 0)}}, 0,
      (ValidationError, "duplicate instance id: 'e0'")),
+    ("predictions", {300: {"confidence": True}}, 0,
+     (ParseError, "{path}:301: field 'confidence' must be a number")),
 ]
 
 
