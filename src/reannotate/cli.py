@@ -42,14 +42,6 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
         dest="strategies", help="strategy to run (repeatable)",
     )
     parser.add_argument("--seed", type=int, help="seed for the random strategy")
-    parser.add_argument(
-        "--budgets", metavar="LIST|stride:N",
-        help="comma-separated budgets or stride:N (default: 50 evenly spaced)",
-    )
-    parser.add_argument(
-        "--negative-label", default="no_relation",
-        help="label excluded from F1 credit (default: no_relation)",
-    )
     parser.add_argument("--out", required=True, help="output directory")
 
 
@@ -70,23 +62,30 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_run_flags(p)
     p.set_defaults(func=cmd_rank)
 
-    p = sub.add_parser("sweep", help="write efficiency and Jaccard curve CSVs per strategy")
-    _add_input_flags(p)
-    _add_run_flags(p)
-    p.add_argument(
+    sweep = sub.add_parser("sweep", help="write efficiency and Jaccard curve CSVs per strategy")
+    f1 = sub.add_parser("f1curve", help="write per-model F1/precision/recall curves per strategy")
+    for p in (sweep, f1):  # the commands that evaluate over budgets
+        _add_input_flags(p)
+        _add_run_flags(p)
+        p.add_argument(
+            "--budgets", metavar="LIST|stride:N",
+            help="comma-separated budgets or stride:N (default: 50 evenly spaced)",
+        )
+    sweep.add_argument(
         "--reference-strategy", default="confidence", choices=_STRATEGY_NAMES,
         help="ranking that Jaccard curves compare against (default: confidence)",
     )
-    p.set_defaults(func=cmd_sweep)
+    sweep.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("f1curve", help="write per-model F1/precision/recall curves per strategy")
-    _add_input_flags(p)
-    _add_run_flags(p)
-    p.add_argument(
+    f1.add_argument(
+        "--negative-label", default="no_relation",
+        help="label excluded from F1 credit (default: no_relation)",
+    )
+    f1.add_argument(
         "--keep-eliminated", action="store_true",
         help="keep eliminated instances (with their current labels) instead of dropping them",
     )
-    p.set_defaults(func=cmd_f1curve)
+    f1.set_defaults(func=cmd_f1curve)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus bundle with planted noise")
     p.add_argument("--out", required=True, help="output directory")

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import random
@@ -309,14 +310,6 @@ def test_unwritable_output_leaves_no_manifest(worked_bundle, capsys):
 # -- sweep ---------------------------------------------------------------
 
 
-def test_sweep_requires_gold(tmp_path, excerpt):
-    pool = make_pool({"s1": "per:parent"})
-    preds = make_predictions(pool, {"m1": {"s1": "per:age"}})
-    flags = write_bundle(tmp_path, excerpt, pool, preds)
-    code = main(["sweep", *flags, "--strategy", "gd", "--out", str(tmp_path / "x")])
-    assert code == 1
-
-
 def test_sweep_curves(worked_bundle, capsys):
     tmp_path, flags = worked_bundle
     out = tmp_path / "curves"
@@ -452,13 +445,18 @@ def test_f1curve_full_budget_strategy_independent(worked_bundle):
     assert results["gd"] == results["confidence"] == results["random"]
 
 
-def test_f1curve_requires_predictions(tmp_path, excerpt):
-    pool = make_pool({"s1": "per:parent"})
-    gold = make_gold(pool, {"s1": "per:age"})
-    flags = write_bundle(tmp_path, excerpt, pool, gold=gold)
-    code = main(["f1curve", *flags, "--strategy", "random", "--seed", "1",
-                 "--out", str(tmp_path / "x")])
-    assert code == 1
+@pytest.mark.parametrize("command, dropped", [
+    ("sweep", "--gold"),
+    ("f1curve", "--gold"),
+    ("f1curve", "--predictions"),
+])
+def test_missing_input_exits_1_without_manifest(worked_bundle, capsys, command, dropped):
+    tmp_path, flags = worked_bundle
+    kept = [arg for pair in zip(flags[::2], flags[1::2]) if pair[0] != dropped for arg in pair]
+    out = tmp_path / "out"
+    assert main([command, *kept, "--strategy", "gd", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: this command needs {dropped}\n"
+    assert not (out / "manifest.json").exists()
 
 
 def test_keep_eliminated_flag_changes_output(worked_bundle):
@@ -540,7 +538,8 @@ def test_synth_seed_outside_range(tmp_path, capsys, seed):
     assert not (out / "manifest.json").exists()
 
 
-def test_manifest_config_is_every_parsed_flag_but_out(worked_bundle):
+def test_manifest_config_is_every_parsed_flag_but_out(worked_bundle, monkeypatch):
+    # ...and the command reads every flag it parses, so none is a knob that does nothing
     tmp_path, flags = worked_bundle
     commands = {
         "rank": [*flags, "--strategy", "gd"],
@@ -548,15 +547,49 @@ def test_manifest_config_is_every_parsed_flag_but_out(worked_bundle):
         "f1curve": [*flags, "--strategy", "gd", "--budgets", "0,3"],
         "synth": ["--pool-size", "10"],
     }
+    reads = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)  # vars(args) reads "__dict__", not the flags in it
+            return super().__getattribute__(name)
+
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def recording_parse_args(parser, argv=None):
+        args = parse_args(parser, argv, Recording())
+        reads.clear()  # argparse's own reads while parsing do not count
+        return args
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording_parse_args)
     subparsers = next(a for a in _build_parser()._actions if a.dest == "command").choices
+    unread = {}
     for command, argv in commands.items():
         out = tmp_path / command
         assert main([command, *argv, "--out", str(out)]) == 0
         config = json.loads((out / "manifest.json").read_text())["config"]
         dests = {a.dest for a in subparsers[command]._actions} - {"help", "out"}
+        unread[command] = dests - reads
         if command in ("sweep", "f1curve"):
             dests.add("resolved_budgets")
         assert set(config) == dests
+    assert unread == dict.fromkeys(commands, set())
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("rank", ["--budgets", "0,3"]),
+    ("rank", ["--negative-label", "x"]),
+    ("sweep", ["--negative-label", "x"]),
+])
+def test_flag_the_command_does_not_read_is_a_usage_error(worked_bundle, capsys, command, flag):
+    tmp_path, flags = worked_bundle
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, *flags, "--strategy", "gd", *flag, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert sum("error:" in line for line in err.splitlines()) == 1, err
+    assert not (out / "manifest.json").exists()
 
 
 def test_synth_deterministic(tmp_path):

@@ -54,7 +54,7 @@ GOLDEN = {
     "predictions_m3.jsonl": "a51b9d92308a619aef3aafeccd392751e12a65498011092dd657e8bb0b3f15df",
     "predictions_m4.jsonl": "ece58fc7cb450afcd65a42e5b9d63ffa203cca34fee7e4221d76f4b354280d39",
     "predictions_m5.jsonl": "a6bf87d0cacde38e8ddca5973e57d4f549462cc158e2619bef266acddcbdb827",
-    "rank/manifest.json": "200a74ee32a5c42827dca7eeb3548e74073af5ba8fe90fb90f34c6a4b35fe449",
+    "rank/manifest.json": "149176ed9f9c3ccdca83d029086e32466123d55a3488de20f9c0bc1b43dd8e8f",
     "rank/ranked_confidence.csv": "8c653411164686c674f9e6a2f44ec60e583ed05795aaedb3aa5eeab91250e75e",
     "rank/ranked_gd.csv": "da6e9cbb0dada71738774984b9ea7724a991d13bede52543956965816a617ead",
     "rank/ranked_ld.csv": "55b8e1a14390f83aa5fc65ec9d21bd1493970a3ab6f04f4b6ef21fb6b2258bdc",
@@ -65,7 +65,7 @@ GOLDEN = {
     "sweep/jaccard_gd.csv": "fe84d261c7a50159627ee2e8cd0bc531a6ca3879d9fbadeb2595c3639c1836c8",
     "sweep/jaccard_ld.csv": "1a93f4a73bcacf0c126e4cdd1db232d8dde4c97b9a89859c8685d785804d38db",
     "sweep/jaccard_random.csv": "7b3dc36dddafc125f5949939fc2de7be9ff2686358ca7b6f13f05a3681850255",
-    "sweep/manifest.json": "018753625e5b68d8c1953615ebe45f5659c7c18899f2eeeb9129f0075e42a2e0",
+    "sweep/manifest.json": "f5d1ef0e2d04ea457c4c734086232e0a6e6be867a738bf68e7c1f4baa126f495",
 }
 
 

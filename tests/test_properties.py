@@ -69,7 +69,7 @@ from reannotate import (
     micro_f1,
     rank,
 )
-from reannotate.cli import main as cli_main
+from reannotate.cli import _build_parser, main as cli_main
 from reannotate.synth import random_tree
 
 NEG = "no_relation"
@@ -633,20 +633,18 @@ def _cli_grammar(command, data, run):
         input_file("--gold", "gold.jsonl"),
         input_file("--label-map", "label_map.json"),
         ("--format", ["jsonl"], ["tacred", *HOSTILE], False, 1),
-    ]
-    if command == "validate":
-        return grammar
-    grammar += [
         out,
         ("--strategy", STRATEGY_NAMES, HOSTILE, False, 3),
         ("--seed", ["0", "7"], [*HOSTILE, directory], False, 1),
         ("--budgets", ["0,5,12", "stride:4", "12"], ["0,99", "stride:0", "stride:x", *HOSTILE],
          False, 1),
         ("--negative-label", [NEG, "g0s0x0"], [*HOSTILE, directory], False, 1),
+        ("--reference-strategy", STRATEGY_NAMES, HOSTILE, False, 1),
     ]
-    if command == "sweep":
-        grammar.append(("--reference-strategy", STRATEGY_NAMES, HOSTILE, False, 1))
-    return grammar
+    # each command gets only the flags its own subparser has
+    subparsers = next(a for a in _build_parser()._actions if a.dest == "command").choices
+    parsed = {flag for action in subparsers[command]._actions for flag in action.option_strings}
+    return [entry for entry in grammar if entry[0] in parsed]
 
 
 def _cli_argv(draw, data, run):
