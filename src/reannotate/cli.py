@@ -45,13 +45,24 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", required=True, help="output directory")
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser: an argument it does not know is its own usage error,
+    so the usage line shown is the command's."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="reannotate",
         description="Rank labeled instances for budgeted reannotation and "
         "simulate relabeling strategies against gold labels.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
     p = sub.add_parser("validate", help="check that all inputs load and every label resolves")
     _add_input_flags(p)
@@ -176,7 +187,8 @@ def _config(args, schedule: evaluate.BudgetSchedule | None = None) -> dict:
 
 def _abort_on_problems(problems: list[str]) -> None:
     if problems:
-        raise ValidationError("\n".join(problems))
+        # one line; validate prints every problem
+        raise ValidationError(f"{len(problems)} problem(s), first: {problems[0]}")
 
 
 # -- commands ----------------------------------------------------------------

@@ -1,9 +1,8 @@
 """Loaders and containers for pools, model predictions, gold relabels, and label maps.
 
 All containers are immutable after construction and safe for concurrent
-reads. Two caches are each a single store of a finished value: a
-PredictionSet's f1_curve memo (a tuple) and a GoldSet's noisy flag per pool
-row (a list, built on efficiency_curve's first call). Loading itself is
+reads. The one value a call keeps is a PredictionSet's f1_curve memo, put
+there in a single store of a finished tuple. Loading itself is
 single-threaded per file. Containers hold columns and build record objects
 on access.
 """
@@ -336,11 +335,7 @@ class GoldSet:
         dataset_labels = map(pool._labels.__getitem__, map(pool._position.__getitem__, gold))
         # ELIMINATED differs from every label
         self._noisy = frozenset(compress(gold, map(ne, gold.values(), dataset_labels)))
-
-    @cached_property
-    def _noisy_rows(self) -> list[bool]:
-        """Per pool row, in row order, whether it is noisy."""
-        return list(map(self._noisy.__contains__, self._position))
+        self._noisy_rows = bytes(map(self._noisy.__contains__, self._position))  # 0/1 per pool row
 
     @property
     def noisy_ids(self) -> frozenset[str]:
@@ -484,7 +479,15 @@ def _jsonl_chunks(path: Path) -> Iterator[tuple[list[dict], Iterator[str]]]:
         yield records, wheres
 
 
-def _read_pool(path: Path, format: str) -> ReannotationPool:
+def load_pool(source: str | Path, format: str = "jsonl") -> ReannotationPool:
+    """Load the reannotation pool.
+
+    ``jsonl``: one JSON object per line with fields id and relation
+    (optional partition; everything else is kept as opaque metadata).
+    ``tacred``: a single JSON array of objects with fields id and relation,
+    other fields kept opaquely.
+    """
+    path = Path(source)
     if format == "jsonl":
         chunks = _jsonl_chunks(path)
     elif format == "tacred":
@@ -500,12 +503,11 @@ def _read_pool(path: Path, format: str) -> ReannotationPool:
     metadata: dict[int, Mapping[str, Any]] = {}
     for records, wheres in chunks:
         columns = _columns(records, _POOL_FIELDS)
-        if columns is None:  # word the first defect, if any
+        if columns is None:  # _checked refuses what _columns does, so this loop raises
             for obj, where in zip(records, wheres):
                 if not isinstance(obj, dict):  # only a tacred entry can be other
                     raise ParseError(f"{where} is not an object")
                 _checked(obj, _POOL_FIELDS, where)
-            columns = _columns(records, _POOL_FIELDS)
         chunk_ids, chunk_labels, chunk_partitions = columns
         lowered = {p: p if p is None else p.lower() for p in set(chunk_partitions)}
         for row, obj in enumerate(records, start=len(ids)):
@@ -517,29 +519,35 @@ def _read_pool(path: Path, format: str) -> ReannotationPool:
     return ReannotationPool._from_columns(ids, labels, partitions, metadata)
 
 
-def load_pool(source: str | Path, format: str = "jsonl") -> ReannotationPool:
-    """Load the reannotation pool.
-
-    ``jsonl``: one JSON object per line with fields id and relation
-    (optional partition; everything else is kept as opaque metadata).
-    ``tacred``: a single JSON array of objects with fields id and relation,
-    other fields kept opaquely.
-    """
-    return _read_pool(Path(source), format)
+def _write_jsonl(objs: Iterable[dict[str, Any]], target: str | Path) -> None:
+    """Write each object as one JSON Lines record in UTF-8: the mirror of _jsonl_chunks."""
+    with open(target, "w", encoding="utf-8") as fh:
+        for obj in objs:
+            fh.write(json.dumps(obj) + "\n")
 
 
 def write_pool(pool: ReannotationPool, target: str | Path) -> None:
     """Write a pool as jsonl records; round-trips through load_pool."""
-    with open(target, "w", encoding="utf-8") as fh:
-        for inst in pool:
-            obj: dict[str, Any] = {"id": inst.id, "relation": inst.label}
-            if inst.partition is not None:
-                obj["partition"] = inst.partition
-            obj.update(inst.metadata)
-            fh.write(json.dumps(obj) + "\n")
+    objs = (
+        {
+            "id": inst.id,
+            "relation": inst.label,
+            **({} if inst.partition is None else {"partition": inst.partition}),
+            **inst.metadata,
+        }
+        for inst in pool
+    )
+    _write_jsonl(objs, target)
 
 
-def _read_predictions(paths: list[Path], pool: ReannotationPool) -> PredictionSet:
+def load_predictions(sources: Iterable[str | Path], pool: ReannotationPool) -> PredictionSet:
+    """Load one predictions file per model into a rectangular PredictionSet.
+
+    Each jsonl record carries model, id, label, and confidence; each file
+    holds exactly one model, and no other file uses that model. Records go
+    to the set as they are read, so the first defective one decides the error.
+    """
+    paths = list(map(Path, sources))  # a bad source fails before any file is read
     position = pool._position
     columns: _PredictionColumns = {}
     read_from: dict[str, Path] = {}
@@ -593,34 +601,18 @@ def _read_predictions(paths: list[Path], pool: ReannotationPool) -> PredictionSe
     return PredictionSet._from_columns(pool, columns)
 
 
-def load_predictions(
-    sources: Iterable[str | Path], pool: ReannotationPool
-) -> PredictionSet:
-    """Load one predictions file per model into a rectangular PredictionSet.
-
-    Each jsonl record carries model, id, label, and confidence; each file
-    holds exactly one model, and no other file uses that model. Records go
-    to the set as they are read, so the first defective one decides the error.
-    """
-    return _read_predictions(list(map(Path, sources)), pool)
-
-
 def write_predictions(
     predictions: PredictionSet, model_id: str, target: str | Path
 ) -> None:
     """Write one model's predictions as jsonl; round-trips through load_predictions."""
-    with open(target, "w", encoding="utf-8") as fh:
-        for rec in predictions.records_for_model(model_id):
-            obj = {
-                "model": rec.model_id,
-                "id": rec.instance_id,
-                "label": rec.label,
-                "confidence": rec.confidence,
-            }
-            fh.write(json.dumps(obj) + "\n")
+    keys = ("model", "id", "label", "confidence")  # a PredictionRecord's fields, in order
+    objs = (dict(zip(keys, rec)) for rec in predictions.records_for_model(model_id))
+    _write_jsonl(objs, target)
 
 
-def _read_gold(path: Path, pool: ReannotationPool) -> GoldSet:
+def load_gold(source: str | Path, pool: ReannotationPool) -> GoldSet:
+    """Load gold relabels: jsonl records with fields id and gold (null = eliminated)."""
+    path = Path(source)
     position = pool._position
     gold: dict[str, str | _EliminatedType] = {}
     for records, wheres in _jsonl_chunks(path):
@@ -642,17 +634,13 @@ def _read_gold(path: Path, pool: ReannotationPool) -> GoldSet:
     return GoldSet._from_values(gold, pool)
 
 
-def load_gold(source: str | Path, pool: ReannotationPool) -> GoldSet:
-    """Load gold relabels: jsonl records with fields id and gold (null = eliminated)."""
-    return _read_gold(Path(source), pool)
-
-
 def write_gold(gold: GoldSet, target: str | Path) -> None:
     """Write gold records as jsonl; round-trips through load_gold."""
-    with open(target, "w", encoding="utf-8") as fh:
-        for rec in gold.records():
-            value = None if rec.is_eliminated else rec.gold
-            fh.write(json.dumps({"id": rec.instance_id, "gold": value}) + "\n")
+    objs = (
+        {"id": rec.instance_id, "gold": None if rec.is_eliminated else rec.gold}
+        for rec in gold.records()
+    )
+    _write_jsonl(objs, target)
 
 
 def load_label_map(source: str | Path) -> dict[str, str]:

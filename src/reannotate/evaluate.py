@@ -4,11 +4,9 @@ Curve values are exact rationals; each (strategy, budget) cell is a pure
 computation over immutable inputs, so sweeps parallelize freely and the
 assembled output is deterministic regardless of execution order. f1_curve
 keeps its ranking-independent state on the PredictionSet in one store of a
-finished tuple, and efficiency_curve the noisy flag per pool row on the
-GoldSet in one store of a finished list, so concurrent calls may both build
-either but never read half of it. A ranking from `rank` carries its pool
-rows, which the curves read in place over that pool and gather by id over
-any other.
+finished tuple, so concurrent calls may both build it but never read half of
+it. A ranking from `rank` carries its pool rows, which the curves read in
+place over that pool and gather by id over any other.
 """
 
 from __future__ import annotations
@@ -129,10 +127,10 @@ def _rows_of(ranking: RankedList, position: Mapping[str, int], message: str) -> 
 
 
 def _flagged(
-    flags: Sequence[bool], rows: Sequence[int], schedule: BudgetSchedule
+    flags: Sequence[int], rows: Sequence[int], schedule: BudgetSchedule
 ) -> tuple[bytes, list[int]]:
-    """Each rank's flag (`flags` holds one per pool row), and how many flagged
-    ranks each budget's prefix holds."""
+    """Each rank's flag (`flags` holds one 0/1 per pool row), and how many
+    flagged ranks each budget's prefix holds."""
     hits = bytes(map(flags.__getitem__, rows))
     return hits, list(accumulate(map(hits.count, repeat(1), (0, *schedule), schedule)))
 

@@ -58,10 +58,10 @@ MUTANTS = [
         CORPUS,
         "        if not types.issuperset(map(type, column)):\n",
         '        if key != "confidence" and not types.issuperset(map(type, column)):\n',
-        True,  # _read_predictions' own {float} check sends the same chunks record by record
+        True,  # load_predictions' own {float} check sends the same chunks record by record
     ),
     (
-        "(b') _read_predictions' column path takes int confidences",
+        "(b') load_predictions' column path takes int confidences",
         CORPUS,
         "                    and set(map(type, confs)) == {float}"
         "  # ints go by record, to become floats\n",
@@ -90,6 +90,13 @@ MUTANTS = [
         "        if not types.issuperset(map(type, column)):\n",
         "        if not (fields is _PREDICTION_FIELDS and key in ('model', 'id'))"
         " and not types.issuperset(map(type, column)):\n",
+        False,
+    ),
+    (
+        "(f) _flat takes a chunk whose records are fewer than its lines",
+        CORPUS,
+        "    if len(records) != len(lines) or set(map(type, records)) != {dict}:\n",
+        "    if set(map(type, records)) != {dict}:\n",
         False,
     ),
 ]

@@ -71,6 +71,24 @@ def test_validate_reports_bad_label(tmp_path, excerpt, capsys):
     assert "made_up_label" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["rank", "sweep", "f1curve"])
+def test_labels_outside_the_hierarchy_are_one_error_line(tmp_path, excerpt, capsys, command):
+    pool = make_pool({"s1": "bogus1", "s2": "bogus2", "s3": "per:parent"})
+    preds = make_predictions(pool, {"m1": {"s1": "per:age", "s2": "per:age", "s3": "per:age"}})
+    flags = write_bundle(tmp_path, excerpt, pool, preds, make_gold(pool, {"s1": "per:age"}))
+    out = tmp_path / "out"
+    assert main([command, *flags, "--strategy", "gd", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: 2 problem(s), first: dataset label not in hierarchy: 'bogus1'\n"
+    )
+    assert not (out / "manifest.json").exists()
+    assert main(["validate", *flags]) == 1  # validate still prints every problem
+    assert capsys.readouterr().out.splitlines() == [
+        "dataset label not in hierarchy: 'bogus1'",
+        "dataset label not in hierarchy: 'bogus2'",
+    ]
+
+
 def test_validate_missing_file_exits_2(tmp_path):
     code = main([
         "validate",
@@ -589,6 +607,8 @@ def test_flag_the_command_does_not_read_is_a_usage_error(worked_bundle, capsys, 
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert sum("error:" in line for line in err.splitlines()) == 1, err
+    assert err.startswith(f"usage: reannotate {command} "), err  # the command's usage
+    assert f"reannotate {command}: error: unrecognized arguments: {' '.join(flag)}" in err
     assert not (out / "manifest.json").exists()
 
 

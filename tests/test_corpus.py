@@ -195,6 +195,12 @@ def test_predictions_unknown_instance(pool3):
         PredictionSet([PredictionRecord("m1", "ghost", "a", 0.5)], pool3)
 
 
+@pytest.mark.parametrize("build", [load_predictions, PredictionSet])
+def test_predictions_from_no_source_are_rejected(pool3, build):
+    with pytest.raises(ValidationError, match="^no prediction records$"):
+        build([], pool3)
+
+
 def test_predictions_incomplete(pool3):
     records = [PredictionRecord("m1", i, "a", 0.5) for i in ("e1", "e3")]
     with pytest.raises(ValidationError, match="incomplete"):
@@ -515,6 +521,7 @@ TRAPS = [
         '{"id": "e2", "relation": "a"}, {"id": "e3", "relation": "a"}',
     ],
     ['{"a":1}, {"b":2', '"c": {"d": 3}}', '{"e":1}'],  # nested objects without "["
+    ['{"id": "}"', '"relation": "{"}'],  # one brace of each kind a line, but one record
 ]
 
 
@@ -615,7 +622,7 @@ def test_reference_loaders_name_nothing_private_of_corpus():
             named.update(node.name.split("."))
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             named.add(node.value)  # getattr(corpus, "_flat")
-    assert {"_checked", "_flat", "_columns", "_jsonl_chunks", "_read_gold"} <= private
+    assert {"_checked", "_flat", "_columns", "_jsonl_chunks", "_place_gold"} <= private
     assert named & private == set()
 
 

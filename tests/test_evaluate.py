@@ -627,8 +627,8 @@ def test_a_copied_ranking_gathers_its_rows_and_gives_the_same_curves():
 
 
 def test_curves_from_many_threads_read_whole_caches():
-    # the gold set's noisy flags and f1_curve's state on the predictions are
-    # each one store of a finished value: threads racing to build them on
+    # f1_curve's state on the predictions is one store of a finished value, and
+    # a gold set builds its noisy flags when it is made: threads racing on
     # fresh sets all get the curves of a single thread
     ids = [f"e{i:03d}" for i in range(300)]
     pool, preds, relabels = _bundle(ids, 8)
