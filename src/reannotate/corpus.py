@@ -4,16 +4,18 @@ All containers are immutable after construction and safe for concurrent
 reads. The one value a call keeps is a PredictionSet's f1_curve memo, put
 there in a single store of a finished tuple. Loading itself is
 single-threaded per file. Containers hold columns and build record objects
-on access.
+on access. Equal labels in a container share one str object: each load or
+construction places labels through a label -> object map local to the call.
 """
 
 from __future__ import annotations
 
 import json
 from collections import deque
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress, count, repeat
+from itertools import compress, count, islice, repeat
 from operator import itemgetter, le, methodcaller, ne
 from pathlib import Path
 from typing import Any, Iterable, Iterator, KeysView, Mapping, NamedTuple, Sequence
@@ -64,6 +66,7 @@ class ReannotationPool:
         labels: list[str] = []
         partitions: list[str | None] = []
         metadata: dict[int, Mapping[str, Any]] = {}
+        shared: dict[str, str] = {}  # label -> its one object
         for inst in instances:
             if inst.metadata:
                 for key, *_ in _POOL_FIELDS:
@@ -73,7 +76,7 @@ class ReannotationPool:
                         )
                 metadata[len(ids)] = inst.metadata
             ids.append(inst.id)
-            labels.append(inst.label)
+            labels.append(shared.setdefault(inst.label, inst.label))
             partitions.append(inst.partition)
         self._set_columns(ids, labels, partitions, metadata)
 
@@ -182,8 +185,9 @@ class PredictionSet:
 
     def __init__(self, records: Iterable[PredictionRecord], pool: ReannotationPool) -> None:
         columns: _PredictionColumns = {}
+        shared = _label_objects(pool)
         for record in records:
-            _place_prediction(columns, pool._position, *record)
+            _place_prediction(columns, pool._position, shared, *record)
         self._set_columns(pool, columns)
 
     @classmethod
@@ -269,9 +273,15 @@ class PredictionSet:
 _PredictionColumns = dict[str, tuple[list[str | None], list[float | None]]]
 
 
+def _label_objects(pool: ReannotationPool) -> dict:
+    """A fresh label -> object map seeded with the pool's labels: a value placed
+    through it is the pool's object when the pool holds an equal label."""
+    return {label: label for label in set(pool._labels)}
+
+
 def _place_prediction(
-    columns: _PredictionColumns, position: Mapping[str, int], model: str, iid: str,
-    label: str, conf: float,
+    columns: _PredictionColumns, position: Mapping[str, int], shared: dict, model: str,
+    iid: str, label: str, conf: float,
 ) -> None:
     if not 0.0 <= conf <= 1.0:
         raise ValidationError(
@@ -289,7 +299,7 @@ def _place_prediction(
         raise ValidationError(
             f"duplicate prediction for model {model!r}, instance {iid!r}"
         )
-    column[0][slot] = label
+    column[0][slot] = shared.setdefault(label, label)
     column[1][slot] = conf
 
 
@@ -316,8 +326,9 @@ class GoldSet:
 
     def __init__(self, records: Iterable[GoldRecord], pool: ReannotationPool) -> None:
         gold: dict[str, str | _EliminatedType] = {}
+        shared = _label_objects(pool)
         for rec in records:
-            _place_gold(gold, pool._position, rec.instance_id, rec.gold)
+            _place_gold(gold, pool._position, shared, rec.instance_id, rec.gold)
         self._set_gold(gold, pool)
 
     @classmethod
@@ -359,9 +370,10 @@ class GoldSet:
 
 
 def _place_gold(
-    gold: dict[str, str | _EliminatedType], position: Mapping[str, int], iid: str,
-    value: str | _EliminatedType,
+    gold: dict[str, str | _EliminatedType], position: Mapping[str, int], shared: dict,
+    iid: str, value: str | _EliminatedType | None,
 ) -> None:
+    value = shared.setdefault(value, value)
     if iid not in position:
         raise ValidationError(f"gold record for unknown instance {iid!r}")
     if iid in gold:
@@ -448,19 +460,35 @@ def _flat(chunk: list[str]) -> list[dict] | None:
     return records
 
 
-def _jsonl_chunks(path: Path) -> Iterator[tuple[list[dict], Iterator[str]]]:
-    r"""Per _CHUNK lines, their records and each record's "path:line".
+@contextmanager
+def _jsonl_chunks(path: Path) -> Iterator[Iterator[tuple[list[dict], Iterator[str]]]]:
+    r"""`path` open for one streamed pass that never seeks, so a pipe works as a
+    source; the with block reads its _chunks.
 
-    Read whole, so an invalid UTF-8 byte decides before any record. Only "\n"
-    ends a line (read_text maps "\r\n" and "\r" to it), so U+2028, U+2029 and
-    U+0085 may stand in strings. A bad line raises once the records above it are taken.
+    Only "\n" ends a line (reading maps "\r\n" and "\r" to it), so U+2028,
+    U+2029 and U+0085 may stand in strings. An invalid UTF-8 byte anywhere in
+    the file decides before any record defect: a ParseError or ValidationError
+    raised inside the with block first decodes the rest of the file.
     """
     try:
-        lines = path.read_text(encoding="utf-8").split("\n")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not valid UTF-8: {exc}") from exc
-    for start in range(0, len(lines), _CHUNK):
-        chunk = lines[start : start + _CHUNK]
+        with open(path, encoding="utf-8") as fh:
+            try:
+                yield _chunks(fh, path)
+            except (ParseError, ValidationError):
+                while fh.read(1 << 16):  # an invalid byte further down decides first
+                    pass
+                raise
+    except UnicodeDecodeError as exc:  # its position counts from the start of a read block
+        raise ParseError(f"{path}: not valid UTF-8: {exc.reason}") from exc
+
+
+def _chunks(fh: Iterator[str], path: Path) -> Iterator[tuple[list[dict], Iterator[str]]]:
+    """Per _CHUNK lines of `fh`, their records and each record's "path:line".
+
+    A bad line raises once the records above it are taken.
+    """
+    start = 0  # lines before the chunk
+    while chunk := list(islice(fh, _CHUNK)):
         numbers = compress(count(start + 1), map(str.strip, chunk))  # of the non-blank lines
         wheres = map("{}:{}".format, repeat(path), numbers)
         records = _flat(chunk)
@@ -468,7 +496,7 @@ def _jsonl_chunks(path: Path) -> Iterator[tuple[list[dict], Iterator[str]]]:
             records = []
             for lineno, line in compress(enumerate(chunk, start + 1), map(str.strip, chunk)):
                 try:
-                    obj = json.loads(line)
+                    obj = json.loads(line.rstrip("\n"))  # positions as on the line alone
                 except (ValueError, RecursionError) as exc:  # incl. over-long ints
                     yield records, wheres  # the records above a bad line go first
                     raise ParseError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
@@ -477,6 +505,7 @@ def _jsonl_chunks(path: Path) -> Iterator[tuple[list[dict], Iterator[str]]]:
                     raise ParseError(f"{path}:{lineno}: record is not an object")
                 records.append(obj)
         yield records, wheres
+        start += len(chunk)
 
 
 def load_pool(source: str | Path, format: str = "jsonl") -> ReannotationPool:
@@ -489,33 +518,35 @@ def load_pool(source: str | Path, format: str = "jsonl") -> ReannotationPool:
     """
     path = Path(source)
     if format == "jsonl":
-        chunks = _jsonl_chunks(path)
+        reading = _jsonl_chunks(path)
     elif format == "tacred":
         doc = _read_json(path)
         if not isinstance(doc, list):
             raise ParseError(f"{path}: expected a JSON array of instance objects")
-        chunks = [(doc, map("{}: entry {}".format, repeat(path), count()))]  # parsed whole
+        reading = nullcontext([(doc, map("{}: entry {}".format, repeat(path), count()))])
     else:
         raise ValidationError(f"unknown pool format {format!r}, expected one of {POOL_FORMATS}")
     ids: list[str] = []
     labels: list[str] = []
     partitions: list[str | None] = []
     metadata: dict[int, Mapping[str, Any]] = {}
-    for records, wheres in chunks:
-        columns = _columns(records, _POOL_FIELDS)
-        if columns is None:  # _checked refuses what _columns does, so this loop raises
-            for obj, where in zip(records, wheres):
-                if not isinstance(obj, dict):  # only a tacred entry can be other
-                    raise ParseError(f"{where} is not an object")
-                _checked(obj, _POOL_FIELDS, where)
-        chunk_ids, chunk_labels, chunk_partitions = columns
-        lowered = {p: p if p is None else p.lower() for p in set(chunk_partitions)}
-        for row, obj in enumerate(records, start=len(ids)):
-            if len(obj) > 2 + ("partition" in obj):  # keys beyond the pool fields
-                metadata[row] = {k: v for k, v in obj.items() if k not in _POOL_KEYS}
-        ids += chunk_ids
-        labels += chunk_labels
-        partitions += map(lowered.__getitem__, chunk_partitions)
+    shared: dict[str, str] = {}  # label -> its one object
+    with reading as chunks:
+        for records, wheres in chunks:
+            columns = _columns(records, _POOL_FIELDS)
+            if columns is None:  # _checked refuses what _columns does, so this loop raises
+                for obj, where in zip(records, wheres):
+                    if not isinstance(obj, dict):  # only a tacred entry can be other
+                        raise ParseError(f"{where} is not an object")
+                    _checked(obj, _POOL_FIELDS, where)
+            chunk_ids, chunk_labels, chunk_partitions = columns
+            lowered = {p: p if p is None else p.lower() for p in set(chunk_partitions)}
+            for row, obj in enumerate(records, start=len(ids)):
+                if len(obj) > 2 + ("partition" in obj):  # keys beyond the pool fields
+                    metadata[row] = {k: v for k, v in obj.items() if k not in _POOL_KEYS}
+            ids += chunk_ids
+            labels += map(shared.setdefault, chunk_labels, chunk_labels)
+            partitions += map(lowered.__getitem__, chunk_partitions)
     return ReannotationPool._from_columns(ids, labels, partitions, metadata)
 
 
@@ -550,52 +581,55 @@ def load_predictions(sources: Iterable[str | Path], pool: ReannotationPool) -> P
     paths = list(map(Path, sources))  # a bad source fails before any file is read
     position = pool._position
     columns: _PredictionColumns = {}
+    shared = _label_objects(pool)
     read_from: dict[str, Path] = {}
     for path in paths:
         model = None  # the file's, from its first record on
-        for records, wheres in _jsonl_chunks(path):
-            fields = records and _columns(records, _PREDICTION_FIELDS)
-            if fields and model is None and fields[0][0] not in read_from:
-                model = fields[0][0]
-                read_from[model] = path
-                columns[model] = ([None] * len(position), [None] * len(position))
-            if fields and model is not None:  # by now, the model's columns exist
-                models, ids, labels, confs = fields
-                slots = list(map(position.get, ids))
-                column_labels, column_confs = columns[model]
-                if (
-                    set(models) == {model}
-                    and set(map(type, confs)) == {float}  # ints go by record, to become floats
-                    # False for NaN too
-                    and all(map(le, repeat(0.0), confs))
-                    and all(map(le, confs, repeat(1.0)))
-                    # every id known and none twice, and no slot filled by an earlier chunk
-                    and len({None, *slots}) == len(slots) + 1
-                    and set(map(column_confs.__getitem__, slots)) == {None}
-                ):
-                    deque(map(column_labels.__setitem__, slots, labels), maxlen=0)
-                    deque(map(column_confs.__setitem__, slots, confs), maxlen=0)
-                    continue
-            for obj, where in zip(records, wheres):
-                record_model, iid, label, conf = _checked(obj, _PREDICTION_FIELDS, where)
-                if model is None:
-                    if record_model in read_from:
-                        raise ValidationError(
-                            f"{path}: model {record_model!r} was already read from "
-                            f"{read_from[record_model]}"
-                        )
-                    model = record_model
+        with _jsonl_chunks(path) as chunks:
+            for records, wheres in chunks:
+                fields = records and _columns(records, _PREDICTION_FIELDS)
+                if fields and model is None and fields[0][0] not in read_from:
+                    model = fields[0][0]
                     read_from[model] = path
-                elif record_model != model:
-                    raise ValidationError(
-                        f"{path}: mixes model ids {model!r} and {record_model!r}; "
-                        f"one predictions file per model"
-                    )
-                try:
-                    conf = float(conf)
-                except OverflowError:
-                    raise ValidationError(f"{where}: confidence out of [0, 1]") from None
-                _place_prediction(columns, position, model, iid, label, conf)
+                    columns[model] = ([None] * len(position), [None] * len(position))
+                if fields and model is not None:  # by now, the model's columns exist
+                    models, ids, labels, confs = fields
+                    slots = list(map(position.get, ids))
+                    column_labels, column_confs = columns[model]
+                    if (
+                        set(models) == {model}
+                        and set(map(type, confs)) == {float}  # ints go by record, to become floats
+                        # False for NaN too
+                        and all(map(le, repeat(0.0), confs))
+                        and all(map(le, confs, repeat(1.0)))
+                        # every id known and none twice, and no slot filled by an earlier chunk
+                        and len({None, *slots}) == len(slots) + 1
+                        and set(map(column_confs.__getitem__, slots)) == {None}
+                    ):
+                        placed = map(shared.setdefault, labels, labels)
+                        deque(map(column_labels.__setitem__, slots, placed), maxlen=0)
+                        deque(map(column_confs.__setitem__, slots, confs), maxlen=0)
+                        continue
+                for obj, where in zip(records, wheres):
+                    record_model, iid, label, conf = _checked(obj, _PREDICTION_FIELDS, where)
+                    if model is None:
+                        if record_model in read_from:
+                            raise ValidationError(
+                                f"{path}: model {record_model!r} was already read from "
+                                f"{read_from[record_model]}"
+                            )
+                        model = record_model
+                        read_from[model] = path
+                    elif record_model != model:
+                        raise ValidationError(
+                            f"{path}: mixes model ids {model!r} and {record_model!r}; "
+                            f"one predictions file per model"
+                        )
+                    try:
+                        conf = float(conf)
+                    except OverflowError:
+                        raise ValidationError(f"{where}: confidence out of [0, 1]") from None
+                    _place_prediction(columns, position, shared, model, iid, label, conf)
         if model is None:
             raise ValidationError(f"{path}: no prediction records")
     return PredictionSet._from_columns(pool, columns)
@@ -615,22 +649,24 @@ def load_gold(source: str | Path, pool: ReannotationPool) -> GoldSet:
     path = Path(source)
     position = pool._position
     gold: dict[str, str | _EliminatedType] = {}
-    for records, wheres in _jsonl_chunks(path):
-        fields = _columns(records, _GOLD_FIELDS)
-        if fields:
-            ids, values = fields
-            chunk_gold = dict(zip(ids, [ELIMINATED if v is None else v for v in values]))
-            if (
-                "" not in values
-                and len(chunk_gold) == len(ids)  # no id twice
-                and all(map(position.__contains__, ids))
-                and gold.keys().isdisjoint(chunk_gold)
-            ):
-                gold.update(chunk_gold)
-                continue
-        for obj, where in zip(records, wheres):
-            iid, value = _checked(obj, _GOLD_FIELDS, where)
-            _place_gold(gold, position, iid, ELIMINATED if value is None else value)
+    shared = {None: ELIMINATED, **_label_objects(pool)}  # JSON null is ELIMINATED
+    with _jsonl_chunks(path) as chunks:
+        for records, wheres in chunks:
+            fields = _columns(records, _GOLD_FIELDS)
+            if fields:
+                ids, values = fields
+                chunk_gold = dict(zip(ids, map(shared.setdefault, values, values)))
+                if (
+                    "" not in values
+                    and len(chunk_gold) == len(ids)  # no id twice
+                    and all(map(position.__contains__, ids))
+                    and gold.keys().isdisjoint(chunk_gold)
+                ):
+                    gold.update(chunk_gold)
+                    continue
+            for obj, where in zip(records, wheres):
+                iid, value = _checked(obj, _GOLD_FIELDS, where)
+                _place_gold(gold, position, shared, iid, value)
     return GoldSet._from_values(gold, pool)
 
 
@@ -660,11 +696,14 @@ def apply_label_map(pool: ReannotationPool, mapping: Mapping[str, str]) -> Reann
 
     The map must be total over the labels occurring in the pool.
     """
-    unmapped = sorted(pool.labels() - mapping.keys())
+    labels = pool.labels()
+    unmapped = sorted(labels - mapping.keys())
     if unmapped:
         raise ValidationError("label map has no entry for: " + ", ".join(unmapped))
+    shared: dict[str, str] = {}  # image -> its one object
+    image = {label: shared.setdefault(mapping[label], mapping[label]) for label in labels}
     return ReannotationPool._from_columns(
-        pool._ids, map(mapping.__getitem__, pool._labels), pool._partitions, pool._metadata
+        pool._ids, map(image.__getitem__, pool._labels), pool._partitions, pool._metadata
     )
 
 

@@ -63,7 +63,7 @@ MUTANTS = [
     (
         "(b') load_predictions' column path takes int confidences",
         CORPUS,
-        "                    and set(map(type, confs)) == {float}"
+        "                        and set(map(type, confs)) == {float}"
         "  # ints go by record, to become floats\n",
         "",
         False,
@@ -97,6 +97,21 @@ MUTANTS = [
         CORPUS,
         "    if len(records) != len(lines) or set(map(type, records)) != {dict}:\n",
         "    if set(map(type, records)) != {dict}:\n",
+        False,
+    ),
+    (
+        "(g) a record error re-raises without decoding the rest of the file",
+        CORPUS,
+        "                while fh.read(1 << 16):  # an invalid byte further down decides first\n"
+        "                    pass\n",
+        "",
+        False,
+    ),
+    (
+        "(h) _place_prediction keeps the fresh label",
+        CORPUS,
+        "    column[0][slot] = shared.setdefault(label, label)\n",
+        "    column[0][slot] = label\n",
         False,
     ),
 ]

@@ -3,7 +3,9 @@ import builtins
 import gc
 import io
 import json
+import os
 import random
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -709,9 +711,12 @@ def test_a_defect_decides_before_an_invalid_line_below_it(tmp_path, kind, row, k
 # Read order, pinned by message rather than against the per-line loaders: the
 # first defect in read order decides, whether its chunk (rows 0-255, 256-511,
 # ...) took the column checks or was placed record by record. Each case: the
-# kind, {row: {key: value}} (("row", n) copies row n's value), blank lines put
-# before the file's records, and the error with {path}, {other} (the m1 file)
-# and {ids[n]} (row n's id) filled in.
+# kind, {row: {key: value}} (("row", n) copies row n's value, BAD_BYTE is
+# written as an invalid UTF-8 byte), blank lines put before the file's records,
+# and the error with {path}, {other} (the m1 file) and {ids[n]} (row n's id)
+# filled in.
+BAD_BYTE = "<0xff>"
+NOT_UTF8 = (ParseError, "{path}: not valid UTF-8: invalid start byte")
 READ_ORDER = [
     ("predictions", {300: {"id": "ghost"}, 400: {"confidence": "x"}}, 0,
      (ValidationError, "prediction for unknown instance 'ghost' (model 'm2')")),
@@ -750,6 +755,20 @@ READ_ORDER = [
      (ValidationError, "duplicate instance id: 'e0'")),
     ("predictions", {300: {"confidence": True}}, 0,
      (ParseError, "{path}:301: field 'confidence' must be a number")),
+    # An invalid byte anywhere in a file decides before any record defect of
+    # the file, also one raised from a chunk read long before the byte: files
+    # are decoded in 8 KiB blocks, and each such chunk below ends more than
+    # 8 KiB above the byte (in the gold file a long label makes the gap). The
+    # pool's repeated id is found once every line is read.
+    ("predictions", {100: {"id": "ghost"}, 550: {"label": BAD_BYTE}}, 0, NOT_UTF8),
+    ("predictions", {100: {"confidence": "x"}, 550: {"label": BAD_BYTE}}, 0, NOT_UTF8),
+    ("predictions", {0: {"model": "m1"}, 550: {"label": BAD_BYTE}}, 0, NOT_UTF8),
+    ("pool", {100: {"relation": 3}, 550: {"relation": BAD_BYTE}}, 0, NOT_UTF8),
+    ("pool", {300: {"id": ("row", 0)}, 550: {"relation": BAD_BYTE}}, 0, NOT_UTF8),
+    ("gold", {3: {"id": "ghost"}, 270: {"gold": "x" * 20_000}, 299: {"gold": BAD_BYTE}}, 0,
+     NOT_UTF8),
+    ("gold", {3: {"gold": 3}, 270: {"gold": "x" * 20_000}, 299: {"gold": BAD_BYTE}}, 0,
+     NOT_UTF8),
 ]
 
 
@@ -765,7 +784,8 @@ def test_the_first_defect_in_read_order_decides(tmp_path, kind, edits, blank, er
                 del records[row][key]
             else:
                 records[row][key] = records[value[1]][key] if isinstance(value, tuple) else value
-    path.write_text("\n" * blank + "".join(json.dumps(r) + "\n" for r in records))
+    text = "\n" * blank + "".join(json.dumps(r) + "\n" for r in records)
+    path.write_bytes(text.encode("utf-8").replace(BAD_BYTE.encode(), b"\xff"))
     pool = load_pool(pool_path) if kind != "pool" else None
     load, args = {
         "pool": (load_pool, [path]),
@@ -802,6 +822,96 @@ def test_each_input_file_is_opened_once(tmp_path, monkeypatch):
     assert len(load_pool(tokens_path)) == 600
     monkeypatch.undo()
     assert opened == [*map(str, prediction_paths), str(tokens_path)]
+
+
+def _piped(path, data):
+    """`path` made a named pipe, and a started thread that writes `data` into it
+    once a reader opens it."""
+    os.mkfifo(path)
+
+    def write():
+        with open(path, "wb") as fh:
+            fh.write(data)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    return writer
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_loaders_read_named_pipes(tmp_path):
+    # each file is read in one pass that never seeks, so `--dataset <(cat pool.jsonl)` works
+    pool_path, prediction_paths, gold_path = _flat_bundle(tmp_path)
+    pool = load_pool(pool_path)
+    expected = [
+        loader_outcome(load_pool, pool_path),
+        loader_outcome(load_predictions, prediction_paths, pool),
+        loader_outcome(load_gold, gold_path, pool),
+    ]
+    pipes = tmp_path / "pipes"
+    pipes.mkdir()
+    piped = {path.name: pipes / path.name for path in [pool_path, *prediction_paths, gold_path]}
+    writers = [_piped(piped[name], (tmp_path / name).read_bytes()) for name in piped]
+    actual = [
+        loader_outcome(load_pool, piped["pool.jsonl"]),
+        loader_outcome(load_predictions, [piped["m1.jsonl"], piped["m2.jsonl"]], pool),
+        loader_outcome(load_gold, piped["gold.jsonl"], pool),
+    ]
+    for writer in writers:
+        writer.join(timeout=10)
+    assert actual == expected
+    assert not any(writer.is_alive() for writer in writers)
+
+
+def _one_object_per_label(labels):
+    labels = list(labels)
+    return len({id(label) for label in labels}) == len(set(labels))
+
+
+def test_equal_labels_share_one_object(tmp_path):
+    # labels of more than one character: CPython keeps one object per 1-character str
+    names = ["per:title", "org:founded_by", "no_relation"]
+    ids = [f"e{i}" for i in range(600)]
+    pool = load_pool(jsonl(tmp_path / "pool.jsonl", [
+        {"id": iid, "relation": names[i % 3]} for i, iid in enumerate(ids)
+    ]))
+    assert _one_object_per_label(inst.label for inst in pool)
+    # "per:age" is no dataset label; in m2 an int confidence sends the first chunk
+    # record by record
+    predicted = [*names, "per:age"]
+    paths = [
+        jsonl(tmp_path / f"{model}.jsonl", [
+            {"model": model, "id": iid, "label": predicted[(i + shift) % 4],
+             "confidence": 1 if (model, i) == ("m2", 3) else 0.5}
+            for i, iid in enumerate(ids)
+        ])
+        for shift, model in enumerate(["m1", "m2"])
+    ]
+    preds = load_predictions(paths, pool)
+    assert preds.record("m2", "e3").confidence == 1.0
+    assert _one_object_per_label([
+        *(inst.label for inst in pool),
+        *(rec.label for model in preds.model_ids for rec in preds.records_for_model(model)),
+    ])
+    gold = load_gold(jsonl(tmp_path / "gold.jsonl", [
+        {"id": iid, "gold": None if i % 5 == 0 else predicted[i % 4]}
+        for i, iid in enumerate(ids)
+    ]), pool)
+    assert _one_object_per_label([
+        *(inst.label for inst in pool),
+        *(rec.gold for rec in gold.records() if not rec.is_eliminated),
+    ])
+    # two keys whose images are equal but distinct objects
+    mapping = json.loads('{"per:title": "per:other", "org:founded_by": "per:other", '
+                         '"no_relation": "no_relation"}')
+    assert mapping["per:title"] is not mapping["org:founded_by"]
+    mapped = apply_label_map(pool, mapping)
+    assert mapped.labels() == {"per:other", "no_relation"}
+    assert _one_object_per_label(inst.label for inst in mapped)
+    built = ReannotationPool(
+        Instance(iid, "".join(["per:", "title"])) for iid in ids
+    )
+    assert _one_object_per_label(inst.label for inst in built)
 
 
 def test_pool_rejects_metadata_that_names_a_pool_field(tmp_path):
