@@ -15,7 +15,7 @@ from collections import deque
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress, count, islice, repeat
+from itertools import compress, count, filterfalse, islice, repeat
 from operator import itemgetter, le, methodcaller, ne
 from pathlib import Path
 from typing import Any, Iterable, Iterator, KeysView, Mapping, NamedTuple, Sequence
@@ -303,6 +303,37 @@ def _place_prediction(
     column[1][slot] = conf
 
 
+def _fill(
+    column: tuple[list[str | None], list[float | None]], pool: ReannotationPool,
+    ids: list[str], labels: list[str], confs: list[float], shared: dict,
+) -> bool:
+    """Place a chunk of one model's checked predictions, or place none and
+    return False when an id is unknown or repeated, or its slot is filled.
+
+    A chunk whose ids are a run of pool rows, as in a file in pool order, goes
+    in by slice; any other is placed slot by slot.
+    """
+    column_labels, column_confs = column
+    labels = map(shared.setdefault, labels, labels)
+    start = pool._position.get(ids[0], 0)
+    stop = start + len(ids)
+    if pool._ids[start:stop] == tuple(ids):  # so every id is known, once, at start..stop
+        if column_confs[start:stop].count(None) != len(ids):  # a slot an earlier chunk filled
+            return False
+        column_labels[start:stop] = labels
+        column_confs[start:stop] = confs
+        return True
+    slots = list(map(pool._position.get, ids))
+    if (
+        len({None, *slots}) != len(slots) + 1  # an id unknown or twice
+        or set(map(column_confs.__getitem__, slots)) != {None}
+    ):
+        return False
+    deque(map(column_labels.__setitem__, slots, labels), maxlen=0)
+    deque(map(column_confs.__setitem__, slots, confs), maxlen=0)
+    return True
+
+
 @dataclass(frozen=True)
 class GoldRecord:
     """Ground-truth relabel for one instance, or the ELIMINATED marker."""
@@ -389,21 +420,28 @@ def _place_gold(
 # array) against the field table of their kind, column by column. A chunk those
 # checks doubt is checked and placed record by record, which words the first
 # defect, so the first defective record in read order decides the error either
-# way. A field: (key, the types its value may have, their wording, key required).
+# way. A JSON Lines chunk is parsed in one json.loads when _flat's brace counts
+# find one record a line, and a predictions chunk whose ids are a run of pool
+# rows is placed by slice (_fill). A field: (key, the types its value may have,
+# their wording, key required).
+_STR = frozenset({str})
 _POOL_FIELDS = (
-    ("id", frozenset({str}), "a string", True),
-    ("relation", frozenset({str}), "a string", True),
+    ("id", _STR, "a string", True),
+    ("relation", _STR, "a string", True),
     ("partition", frozenset({str, type(None)}), "a string", False),
 )
 _POOL_KEYS = frozenset(key for key, *_ in _POOL_FIELDS)
 _PREDICTION_FIELDS = (
-    ("model", frozenset({str}), "a string", True),
-    ("id", frozenset({str}), "a string", True),
-    ("label", frozenset({str}), "a string", True),
+    ("model", _STR, "a string", True),
+    ("id", _STR, "a string", True),
+    ("label", _STR, "a string", True),
     ("confidence", frozenset({int, float}), "a number", True),  # a bool is no number here
 )
+#: What the column path takes: float confidences only, so that a chunk with an
+#: int one goes record by record, which makes it a float.
+_PREDICTION_COLUMNS = (*_PREDICTION_FIELDS[:3], ("confidence", frozenset({float}), "a float", True))
 _GOLD_FIELDS = (
-    ("id", frozenset({str}), "a string", True),
+    ("id", _STR, "a string", True),
     ("gold", frozenset({str, type(None)}), "a string or null", True),
 )
 
@@ -427,9 +465,11 @@ def _columns(records: list, fields: tuple) -> list[list] | None:
     for key, types, _, required in fields:
         try:
             column = list(map(itemgetter(key) if required else methodcaller("get", key), records))
-        except (KeyError, TypeError):  # TypeError: an entry that is no object
-            return None
-        if not types.issuperset(map(type, column)):
+            if types is _STR:
+                "".join(column)  # quicker than a type pass; json makes no str subclass
+            elif not types.issuperset(map(type, column)):
+                return None
+        except (KeyError, TypeError):  # TypeError: an entry that is no object, or no str
             return None
         columns.append(column)
     return columns
@@ -438,18 +478,28 @@ def _columns(records: list, fields: tuple) -> list[list] | None:
 def _flat(chunk: list[str]) -> list[dict] | None:
     """The records of a flat chunk from one json.loads, or None when the chunk is not flat.
 
-    Flat: no "[" in the chunk and exactly one "{" and one "}" on each non-blank
-    line. N parsed dicts then use up all N braces, so no object nests, no string
-    holds a brace and each object lies on its own line: the records a line by
-    line decode reads.
+    Flat: no "[" in the chunk and exactly one "{" and one "}" on each of its N
+    non-blank lines, so that each of the N parsed dicts lies on its own line:
+    the records a line by line decode reads.
+
+    The gate counts each brace over the whole text, and asks of each line only
+    that its last non-blank character be "}"; given N parsed dicts, that is
+    the same test. N dicts use up N braces of each kind, so no dict nests and
+    no string holds a brace. A "}" ends each line, so it is the line's only
+    one: dict k closes at the end of line k, and dict k + 1 opens after the
+    comma that joins line k to line k + 1, so on line k + 1. Conversely, one
+    brace of each kind a line puts dict k on line k, with only blanks after
+    it. Totals alone would not do: '{"x":1}, {"a": 1' then '"b": 2}' hold two
+    of each and parse to two dicts.
     """
-    lines = list(filter(str.strip, chunk))
+    lines = chunk
+    if not all(map(str.endswith, chunk, repeat(("}\n", "}")))):  # a line blank, padded or worse
+        lines = list(filterfalse(str.isspace, chunk))
+        if not all(line.rstrip().endswith("}") for line in lines):
+            return None
     text = ",".join(lines)
-    if (
-        "[" in text
-        or set(map(str.count, lines, repeat("{"))) != {1}
-        or set(map(str.count, lines, repeat("}"))) != {1}
-    ):
+    n = len(lines)
+    if "[" in text or text.count("{") != n or text.count("}") != n:
         return None
     try:
         records = json.loads(f"[{text}]")
@@ -587,28 +637,19 @@ def load_predictions(sources: Iterable[str | Path], pool: ReannotationPool) -> P
         model = None  # the file's, from its first record on
         with _jsonl_chunks(path) as chunks:
             for records, wheres in chunks:
-                fields = records and _columns(records, _PREDICTION_FIELDS)
+                fields = records and _columns(records, _PREDICTION_COLUMNS)
                 if fields and model is None and fields[0][0] not in read_from:
                     model = fields[0][0]
                     read_from[model] = path
                     columns[model] = ([None] * len(position), [None] * len(position))
                 if fields and model is not None:  # by now, the model's columns exist
                     models, ids, labels, confs = fields
-                    slots = list(map(position.get, ids))
-                    column_labels, column_confs = columns[model]
                     if (
                         set(models) == {model}
-                        and set(map(type, confs)) == {float}  # ints go by record, to become floats
-                        # False for NaN too
-                        and all(map(le, repeat(0.0), confs))
-                        and all(map(le, confs, repeat(1.0)))
-                        # every id known and none twice, and no slot filled by an earlier chunk
-                        and len({None, *slots}) == len(slots) + 1
-                        and set(map(column_confs.__getitem__, slots)) == {None}
+                        and all(map(le, repeat(0.0), confs))  # False for NaN too,
+                        and max(confs) <= 1.0  # so max meets none
+                        and _fill(columns[model], pool, ids, labels, confs, shared)
                     ):
-                        placed = map(shared.setdefault, labels, labels)
-                        deque(map(column_labels.__setitem__, slots, placed), maxlen=0)
-                        deque(map(column_confs.__setitem__, slots, confs), maxlen=0)
                         continue
                 for obj, where in zip(records, wheres):
                     record_model, iid, label, conf = _checked(obj, _PREDICTION_FIELDS, where)

@@ -5,12 +5,10 @@ pyproject.toml in a temporary directory, and the loader tests run there:
 
     python tests/mutants.py
 
-A mutant must make the tests fail, except the one marked equivalent, which
-changes no outcome of any loader and is only reported. Exit status: 0 when
-every other mutant fails the tests, 1 naming each one that survives, 2 when a
-patch's anchor text does not occur exactly once in its file, when the
-unmutated copy does not pass, or when the tests did not import the copy's
-`reannotate`. Stdlib only; pytest's file pattern does not collect this file.
+Each mutant must make the tests fail. Exit status: 0 when every mutant fails
+the tests, 1 naming each one that survives, 2 when a patch's anchor text does
+not occur exactly once in its file, when the unmutated copy does not pass, or
+when the tests did not import the copy's `reannotate`. Stdlib only; pytest's file pattern does not collect this file.
 """
 
 import os
@@ -42,31 +40,25 @@ if not Path(reannotate.__file__).resolve().is_relative_to(Path.cwd().resolve()):
 sys.exit(pytest.main(sys.argv[1:]))
 """
 
-# (name, file, anchor, replacement, equivalent)
+# (name, file, anchor, replacement)
 MUTANTS = [
     (
-        "(a) _flat accepts lines with up to two '{' and two '}'",
+        "(a) _flat accepts lines with up to two '{' and two '}' (totals up to twice the lines)",
         CORPUS,
-        '        or set(map(str.count, lines, repeat("{"))) != {1}\n'
-        '        or set(map(str.count, lines, repeat("}"))) != {1}\n',
-        '        or not set(map(str.count, lines, repeat("{"))) <= {1, 2}\n'
-        '        or not set(map(str.count, lines, repeat("}"))) <= {1, 2}\n',
-        False,
+        '    if "[" in text or text.count("{") != n or text.count("}") != n:\n',
+        '    if "[" in text or text.count("{") > 2 * n or text.count("}") > 2 * n:\n',
     ),
     (
         "(b) _columns skips the confidence type check",
         CORPUS,
-        "        if not types.issuperset(map(type, column)):\n",
-        '        if key != "confidence" and not types.issuperset(map(type, column)):\n',
-        True,  # load_predictions' own {float} check sends the same chunks record by record
+        "            elif not types.issuperset(map(type, column)):\n",
+        '            elif key != "confidence" and not types.issuperset(map(type, column)):\n',
     ),
     (
         "(b') load_predictions' column path takes int confidences",
         CORPUS,
-        "                        and set(map(type, confs)) == {float}"
-        "  # ints go by record, to become floats\n",
-        "",
-        False,
+        '("confidence", frozenset({float}), "a float", True)',
+        '("confidence", frozenset({int, float}), "a float", True)',
     ),
     (
         "(c) _checked passes a bool confidence",
@@ -74,7 +66,6 @@ MUTANTS = [
         "        if type(value) not in types:\n",
         "        if type(value) not in types"
         ' and not (key == "confidence" and type(value) is bool):\n',
-        False,
     ),
     (
         "(d) _place_gold accepts a repeated id",
@@ -82,22 +73,18 @@ MUTANTS = [
         "    if iid in gold:\n"
         '        raise ValidationError(f"duplicate gold record for {iid!r}")\n',
         "",
-        False,
     ),
     (
         "(e) _columns skips the model and id type checks of predictions",
         CORPUS,
-        "        if not types.issuperset(map(type, column)):\n",
-        "        if not (fields is _PREDICTION_FIELDS and key in ('model', 'id'))"
-        " and not types.issuperset(map(type, column)):\n",
-        False,
+        '                "".join(column)',
+        "                fields is _PREDICTION_COLUMNS and key in ('model', 'id') or ''.join(column)",
     ),
     (
         "(f) _flat takes a chunk whose records are fewer than its lines",
         CORPUS,
         "    if len(records) != len(lines) or set(map(type, records)) != {dict}:\n",
         "    if set(map(type, records)) != {dict}:\n",
-        False,
     ),
     (
         "(g) a record error re-raises without decoding the rest of the file",
@@ -105,14 +92,26 @@ MUTANTS = [
         "                while fh.read(1 << 16):  # an invalid byte further down decides first\n"
         "                    pass\n",
         "",
-        False,
     ),
     (
         "(h) _place_prediction keeps the fresh label",
         CORPUS,
         "    column[0][slot] = shared.setdefault(label, label)\n",
         "    column[0][slot] = label\n",
-        False,
+    ),
+    (
+        "(i) the slice path skips the test that the chunk's slots are still empty",
+        CORPUS,
+        "        if column_confs[start:stop].count(None) != len(ids):"
+        "  # a slot an earlier chunk filled\n"
+        "            return False\n",
+        "",
+    ),
+    (
+        "(j) the slice path compares only the chunk's first id with the pool",
+        CORPUS,
+        "    if pool._ids[start:stop] == tuple(ids):",
+        "    if pool._ids[start:start + 1] == tuple(ids[:1]):",
     ),
 ]
 
@@ -137,7 +136,7 @@ def run_tests(target: Path) -> int:
 
 
 def main() -> int:
-    for name, file, anchor, _, _ in MUTANTS:
+    for name, file, anchor, _ in MUTANTS:
         found = (ROOT / file).read_text(encoding="utf-8").count(anchor)
         if found != 1:
             print(f"{name}: anchor occurs {found} times in {file}; update tests/mutants.py")
@@ -149,7 +148,7 @@ def main() -> int:
             print("the unmutated copy fails the tests; no mutant can be judged")
             return 2
         survivors = []
-        for i, (name, file, anchor, replacement, equivalent) in enumerate(MUTANTS):
+        for i, (name, file, anchor, replacement) in enumerate(MUTANTS):
             target = Path(scratch) / f"mutant{i}"
             copy_tree(target)
             path = target / file
@@ -157,13 +156,9 @@ def main() -> int:
                 path.read_text(encoding="utf-8").replace(anchor, replacement), encoding="utf-8"
             )
             caught = run_tests(target) == 1
-            if equivalent:
-                verdict = "equivalent, yet caught" if caught else "equivalent, survives"
-            else:
-                verdict = "caught" if caught else "SURVIVES"
-                if not caught:
-                    survivors.append(name)
-            print(f"{name}: {verdict}", flush=True)
+            if not caught:
+                survivors.append(name)
+            print(f"{name}: {'caught' if caught else 'SURVIVES'}", flush=True)
     if survivors:
         print("surviving mutants: " + "; ".join(survivors))
         return 1

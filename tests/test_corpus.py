@@ -507,8 +507,8 @@ def test_jsonl_line_numbers_hold_for_crlf_and_cr(tmp_path, newline):
 
 # -- bulk parse of flat files ------------------------------------------------
 
-# A bulk parse of "[" + ",".join(lines) + "]" reads each of these as three
-# records on three lines; the per-line path rejects line 1.
+# A bulk parse of "[" + ",".join(lines) + "]" reads each of these without
+# error, but not as one record a line; the per-line path rejects line 1.
 TRAPS = [
     ['{"a": [{"b": 1}', '{"c": 2}]}', "{}, {}"],
     ['{"a":1', '"b":2}', '{"c":1}, {"d":2}'],
@@ -524,6 +524,13 @@ TRAPS = [
     ],
     ['{"a":1}, {"b":2', '"c": {"d": 3}}', '{"e":1}'],  # nested objects without "["
     ['{"id": "}"', '"relation": "{"}'],  # one brace of each kind a line, but one record
+    # two of each brace over two lines, but line 2 holds no "{" (or line 1 no "}")
+    ['{"x":1}, {"a": 1', '"b": 2}'],
+    ['{"a": 1', '"b": 2}, {"x":1}'],
+    # each line ends with "}", but each kind of brace is twice the lines
+    ['{"a": {"b": 1}', '"c": 2}, {"d": {}}'],
+    # ... or as many as the lines, but in two records
+    ['{"x": {"y": 1}', '"z": 2}', '{"w": 3}'],
 ]
 
 
@@ -537,29 +544,37 @@ def test_bulk_parse_refuses_records_that_are_not_one_per_line(tmp_path, lines):
     assert str(info.value).startswith(f"{path}:1: invalid JSON: ")
 
 
-def _flat_bundle(tmp_path):
-    """A pool, two shuffled complete predictions files and gold, all flat."""
+def _flat_bundle(tmp_path, shuffled):
+    """A pool, two complete predictions files and gold, all flat. The predictions
+    and gold list their ids shuffled, or in pool order, whose chunks
+    load_predictions places by slice."""
     ids = [f"e{i}" for i in range(600)]  # more than one bulk chunk
     pool = jsonl(tmp_path / "pool.jsonl", [
         {"id": iid, "relation": "ab"[i % 2], "partition": "TEST", **({"n": i} if i % 7 else {})}
         for i, iid in enumerate(ids)
     ])
-    shuffled = random.Random(3).sample(ids, len(ids))
+    order = random.Random(3).sample(ids, len(ids)) if shuffled else ids
     predictions = [
         jsonl(tmp_path / f"{model}.jsonl", [
             {"model": model, "id": iid, "label": "ba"[i % 2], "confidence": i / 600}
-            for i, iid in enumerate(shuffled)
+            for i, iid in enumerate(order)
         ])
         for model in ("m1", "m2")
     ]
     gold = jsonl(tmp_path / "gold.jsonl", [
-        {"id": iid, "gold": None if i % 5 else "b"} for i, iid in enumerate(shuffled[:300])
+        {"id": iid, "gold": None if i % 5 else "b"} for i, iid in enumerate(order[:300])
     ])
     return pool, predictions, gold
 
 
-def test_complete_shuffled_files_take_the_bulk_path(tmp_path, monkeypatch):
-    pool_path, prediction_paths, gold_path = _flat_bundle(tmp_path)
+@pytest.fixture(params=["shuffled", "pool-order"])
+def flat_bundle(request, tmp_path):
+    """_flat_bundle's paths, once for each order of the predictions and gold."""
+    return _flat_bundle(tmp_path, shuffled=request.param == "shuffled")
+
+
+def test_complete_flat_files_take_the_bulk_path(flat_bundle, monkeypatch):
+    pool_path, prediction_paths, gold_path = flat_bundle
     pool = load_pool(pool_path)
 
     def refuse(obj, fields, where):
@@ -676,8 +691,8 @@ def _against_reference(kind, path, pool_path, prediction_paths):
         for value in (["m2"], {"x": 1}, [1])
     ),
 ])
-def test_bulk_path_leaves_each_defect_to_the_per_line_path(tmp_path, kind, row, key, value):
-    pool_path, prediction_paths, gold_path = _flat_bundle(tmp_path)
+def test_bulk_path_leaves_each_defect_to_the_per_line_path(flat_bundle, kind, row, key, value):
+    pool_path, prediction_paths, gold_path = flat_bundle
     path = {"pool": pool_path, "predictions": prediction_paths[1], "gold": gold_path}[kind]
     records = [json.loads(line) for line in path.read_text().splitlines()]
     if key is None:  # drop the record
@@ -693,8 +708,8 @@ def test_bulk_path_leaves_each_defect_to_the_per_line_path(tmp_path, kind, row, 
 # decoded line by line, and a defect above it still decides, except in the
 # pool, whose ids and labels are checked once every line is read.
 @pytest.mark.parametrize("kind, row, key, value", CHUNK_EDGES)
-def test_a_defect_decides_before_an_invalid_line_below_it(tmp_path, kind, row, key, value):
-    pool_path, prediction_paths, gold_path = _flat_bundle(tmp_path)
+def test_a_defect_decides_before_an_invalid_line_below_it(flat_bundle, kind, row, key, value):
+    pool_path, prediction_paths, gold_path = flat_bundle
     path = {"pool": pool_path, "predictions": prediction_paths[1], "gold": gold_path}[kind]
     lines = path.read_text().splitlines()
     record = json.loads(lines[row])
@@ -705,6 +720,42 @@ def test_a_defect_decides_before_an_invalid_line_below_it(tmp_path, kind, row, k
     actual, expected = _against_reference(kind, path, pool_path, prediction_paths)
     at_bad_line = (ParseError, (f"{path}:{lines.index('{bad') + 1}",))
     assert (expected == at_bad_line) == (kind == "pool" or value == 1)
+    assert actual == expected
+
+
+def _resend(row, of, n):
+    """Edits that give rows row to row + n - 1 the ids of rows of to of + n - 1."""
+    return {row + i: {"id": ("row", of + i)} for i in range(n)}
+
+
+# Chunks of m2's file in pool order (rows 0-255, 256-511 and 512-599) that are no
+# fresh run of pool rows, as {row: {key: value}} (("row", n) copies row n's
+# value). A chunk that re-sends placed rows matches the pool by slice, so only
+# the test that its slots are empty sends it record by record; a swap that keeps
+# the chunk's first id in place shows only to a compare of every id.
+NOT_A_FRESH_RUN = [
+    _resend(256, 0, 256),  # the second chunk re-sends the first
+    _resend(256, 100, 256),  # the first's last 156 rows, then 100 of its own
+    _resend(512, 256, 88),  # the last chunk re-sends part of the second
+    {**_resend(256, 0, 256), 400: {"id": "ghost"}},
+    {300: {"id": ("row", 301)}, 301: {"id": ("row", 300)}},  # two ids swapped in a chunk
+    {256: {"id": ("row", 511)}, 511: {"id": ("row", 256)}},  # its first and last
+    {300: {"id": ("row", 301)}, 301: {"id": ("row", 300)}, 400: {"confidence": 2.0}},
+    {300: {"id": ("row", 301)}, 301: {"id": ("row", 300)}, 400: {"id": ("row", 256)}},
+]
+
+
+@pytest.mark.parametrize("edits", NOT_A_FRESH_RUN)
+def test_pool_order_chunks_that_are_no_fresh_run_load_as_the_reference(tmp_path, edits):
+    pool_path, prediction_paths, _ = _flat_bundle(tmp_path, shuffled=False)
+    path = prediction_paths[1]
+    originals = [json.loads(line) for line in path.read_text().splitlines()]
+    records = [dict(record) for record in originals]
+    for row, changes in edits.items():
+        for key, value in changes.items():
+            records[row][key] = originals[value[1]][key] if isinstance(value, tuple) else value
+    jsonl(path, records)
+    actual, expected = _against_reference("predictions", path, pool_path, prediction_paths)
     assert actual == expected
 
 
@@ -773,8 +824,8 @@ READ_ORDER = [
 
 
 @pytest.mark.parametrize("kind, edits, blank, error", READ_ORDER)
-def test_the_first_defect_in_read_order_decides(tmp_path, kind, edits, blank, error):
-    pool_path, prediction_paths, gold_path = _flat_bundle(tmp_path)
+def test_the_first_defect_in_read_order_decides(flat_bundle, kind, edits, blank, error):
+    pool_path, prediction_paths, gold_path = flat_bundle
     path = {"pool": pool_path, "predictions": prediction_paths[1], "gold": gold_path}[kind]
     records = [json.loads(line) for line in path.read_text().splitlines()]
     ids = [record["id"] for record in records]
@@ -798,8 +849,8 @@ def test_the_first_defect_in_read_order_decides(tmp_path, kind, edits, blank, er
     )
 
 
-def test_each_input_file_is_opened_once(tmp_path, monkeypatch):
-    pool_path, prediction_paths, _ = _flat_bundle(tmp_path)
+def test_each_input_file_is_opened_once(tmp_path, flat_bundle, monkeypatch):
+    pool_path, prediction_paths, _ = flat_bundle
     records = [json.loads(line) for line in prediction_paths[1].read_text().splitlines()]
     records[5]["id"] = "ghost"
     jsonl(prediction_paths[1], records)
@@ -839,9 +890,9 @@ def _piped(path, data):
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
-def test_loaders_read_named_pipes(tmp_path):
+def test_loaders_read_named_pipes(tmp_path, flat_bundle):
     # each file is read in one pass that never seeks, so `--dataset <(cat pool.jsonl)` works
-    pool_path, prediction_paths, gold_path = _flat_bundle(tmp_path)
+    pool_path, prediction_paths, gold_path = flat_bundle
     pool = load_pool(pool_path)
     expected = [
         loader_outcome(load_pool, pool_path),
