@@ -18,7 +18,7 @@ from functools import cached_property
 from itertools import compress, count, filterfalse, islice, repeat
 from operator import itemgetter, le, methodcaller, ne
 from pathlib import Path
-from typing import Any, Iterable, Iterator, KeysView, Mapping, NamedTuple, Sequence
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ParseError, ValidationError
 from .hierarchy import LabelHierarchy, _read_json
@@ -163,6 +163,21 @@ class ReannotationPool:
         return set(self._labels)
 
 
+def _gather(
+    ids: Sequence[str], position: Mapping[str, int], link: Mapping[str, int] | None, message: str
+) -> list[int] | None:
+    """The one rule that lines a container (which keeps its pool's id -> row map
+    as `_position`) up with a pool: None, read in place, when the maps `link`
+    and `position` are one object; else the row in `position` of each of `ids`.
+    The first id that `position` lacks raises `message`, formatted with that id."""
+    if link is position:
+        return None
+    rows = list(map(position.get, ids))
+    if None in rows:
+        raise ValidationError(message.format(ids[rows.index(None)]))
+    return rows
+
+
 class PredictionRecord(NamedTuple):
     """One model's predicted label and confidence for one instance."""
 
@@ -182,6 +197,7 @@ class PredictionSet:
     """
 
     _f1_memo: tuple | None = None  # evaluate.f1_curve's last (pool, gold, negative, drop, state)
+    _missing = "no predictions for instance {!r}"  # `_gather`'s message for an id without a slot
 
     def __init__(self, records: Iterable[PredictionRecord], pool: ReannotationPool) -> None:
         columns: _PredictionColumns = {}
@@ -210,7 +226,7 @@ class PredictionSet:
             )
         for model, (labels, confs) in columns.items():  # one model's lists at a time
             columns[model] = (tuple(labels), tuple(confs))
-        self._slot = pool._position
+        self._position = pool._position
         self._columns = columns
 
     @property
@@ -224,11 +240,11 @@ class PredictionSet:
 
     def _over(self, pool: ReannotationPool) -> list[tuple[Sequence[str], Sequence[float]]]:
         """Per model, in model order, its label and confidence columns in
-        `pool`'s row order: read in place when they were built over `pool`'s
-        rows, else gathered by id."""
-        if pool._position is self._slot:
+        `pool`'s row order, lined up through `_gather`: read in place when
+        `_position` is `pool`'s own, else gathered by id."""
+        slots = _gather(pool._ids, self._position, pool._position, self._missing)
+        if slots is None:
             return list(self._columns.values())
-        slots = list(map(self._slot_of, pool._ids))
         return [
             tuple(list(map(column.__getitem__, slots)) for column in pair)
             for pair in self._columns.values()
@@ -240,20 +256,14 @@ class PredictionSet:
         except KeyError:
             raise ValidationError(f"unknown model {model_id!r}") from None
 
-    def _slot_of(self, instance_id: str) -> int:
-        slot = self._slot.get(instance_id)
-        if slot is None:
-            raise ValidationError(f"no predictions for instance {instance_id!r}")
-        return slot
-
     def record(self, model_id: str, instance_id: str) -> PredictionRecord:
         labels, confs = self._column(model_id)
-        slot = self._slot_of(instance_id)
+        [slot] = _gather((instance_id,), self._position, None, self._missing)
         return PredictionRecord(model_id, instance_id, labels[slot], confs[slot])
 
     def for_instance(self, instance_id: str) -> tuple[PredictionRecord, ...]:
         """All models' records for one instance, in model order."""
-        slot = self._slot_of(instance_id)
+        [slot] = _gather((instance_id,), self._position, None, self._missing)
         return tuple([
             PredictionRecord(model, instance_id, labels[slot], confs[slot])
             for model, (labels, confs) in self._columns.items()
@@ -262,7 +272,7 @@ class PredictionSet:
     def records_for_model(self, model_id: str) -> tuple[PredictionRecord, ...]:
         """One model's records, in pool order."""
         labels, confs = self._column(model_id)
-        return tuple(map(PredictionRecord, repeat(model_id), self._slot, labels, confs))
+        return tuple(map(PredictionRecord, repeat(model_id), self._position, labels, confs))
 
     def labels(self) -> set[str]:
         """Distinct predicted labels across all models."""
@@ -383,10 +393,6 @@ class GoldSet:
     def noisy_ids(self) -> frozenset[str]:
         """The noisy set N."""
         return self._noisy
-
-    @property
-    def pool_ids(self) -> KeysView[str]:
-        return self._position.keys()
 
     def __len__(self) -> int:
         return len(self._gold)

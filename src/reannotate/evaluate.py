@@ -5,8 +5,8 @@ computation over immutable inputs, so sweeps parallelize freely and the
 assembled output is deterministic regardless of execution order. f1_curve
 keeps its ranking-independent state on the PredictionSet in one store of a
 finished tuple, so concurrent calls may both build it but never read half of
-it. A ranking from `rank` carries its pool rows, which the curves read in
-place over that pool and gather by id over any other.
+it. A `rank` output keeps its pool rows and its pool's `_position`: the curves
+read the rows in place over that pool and gather them by id over any other.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from operator import add, and_, eq, is_, is_not, ne, sub
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .corpus import ELIMINATED, GoldSet, Instance, PredictionSet, ReannotationPool
+from .corpus import ELIMINATED, GoldSet, Instance, PredictionSet, ReannotationPool, _gather
 from .errors import ValidationError
 from .strategies import RankedList
 
@@ -115,15 +115,12 @@ class CurveSeries:
 
 
 def _rows_of(ranking: RankedList, position: Mapping[str, int], message: str) -> Sequence[int]:
-    """Each rank's row in the pool whose id -> row map is `position`: read in
-    place when `rank` ordered that pool, else gathered by id. A ranking whose
-    ids are not exactly the pool's (ranked ids are distinct) raises `message`."""
-    if ranking._over is position:
-        return ranking._rows
-    rows = list(map(position.get, ranking.ids))
-    if len(rows) != len(position) or None in rows:
+    """Each rank's row in the pool whose id -> row map is `position` (`_gather`);
+    a ranking whose ids are not exactly the pool's (they are distinct) raises `message`."""
+    rows = _gather(ranking.ids, position, ranking._position, message)
+    if rows is not None and len(rows) != len(position):
         raise ValidationError(message)
-    return rows
+    return ranking._rows if rows is None else rows
 
 
 def _flagged(
@@ -140,14 +137,10 @@ def jaccard_curve(a: RankedList, b: RankedList, schedule: BudgetSchedule) -> Cur
 
     Defined as 1 at B = 0 (two empty selections); the series is labeled
     with `a`'s strategy name. Both selections grow as rows of one pool: the
-    pool `a` was ranked from by `rank`, else `a`'s ids in rank order, with
-    `b`'s rows read in place over that pool or gathered by id.
+    pool `a` was ranked from by `rank`, else `a`'s ids in rank order.
     """
-    if a._over is None:
-        position, rows_a = dict(zip(a.ids, range(len(a)))), range(len(a))
-    else:
-        position, rows_a = a._over, a._rows
-    rows_b = _rows_of(b, position, "rankings cover different pools")
+    position = a._position or dict(zip(a.ids, range(len(a))))
+    rows_a, rows_b = (_rows_of(r, position, "rankings cover different pools") for r in (a, b))
     _check_budgets(schedule, len(a))
     in_a, in_b = bytearray(len(a)), bytearray(len(a))
     intersection = 0
@@ -362,6 +355,7 @@ def f1_curve(
     pool are read in place when `rank` ordered it, else gathered by id.
     """
     key = (pool, gold, negative_label, drop_eliminated)
+    # keyed on the pool, not its `_position`: each pool builds its own map, so the two agree
     if isinstance(pool, ReannotationPool):
         memo = predictions._f1_memo
         if memo is None or memo[0] is not pool or memo[1] is not gold or memo[2:4] != key[2:]:

@@ -57,7 +57,7 @@ def _scores(
 ) -> tuple[list[int], int]:
     """Each pool row's GD, LD or CONFIDENCE score, as (int keys, denominator).
 
-    Reads the K prediction columns in `pool`'s row order (`PredictionSet._over`).
+    Reads the K prediction columns lined up with `pool` (`PredictionSet._over`).
     GD and LD walk one instance's K predictions in turn (walks then share a
     path), once per distinct pair per call.
     """
@@ -134,12 +134,12 @@ class RankedList:
     The score of ``ids[i]`` is exactly ``keys[i] / denominator``. Scores never
     increase down the list, and ties are in ascending id order. A list from
     `rank` also remembers each rank's pool row (``_rows``) and that pool's
-    id -> row map (``_over``); they are not fields, and a list built by hand,
-    copied or unpickled has neither.
+    id -> row map (``_position``); they are not fields, and a list built by
+    hand, copied or unpickled has neither.
     """
 
     _rows = None
-    _over = None
+    _position = None
 
     strategy: StrategyKind
     ids: tuple[str, ...]
@@ -172,14 +172,13 @@ class RankedList:
     @classmethod
     def _from_sorted(
         cls, strategy: StrategyKind, ids: tuple[str, ...], keys: tuple[int, ...], denominator: int,
-        rows: list[int], over: dict[str, int],
+        rows: list[int], position: dict[str, int],
     ) -> RankedList:
         """A list that `rank` built in order itself from the rows of the pool
-        whose id -> row map is `over`, so the checks above are skipped."""
+        whose id -> row map is `position`, so the checks above are skipped."""
         ranking = cls.__new__(cls)
-        ranking.__dict__.update(
-            strategy=strategy, ids=ids, keys=keys, denominator=denominator, _rows=rows, _over=over
-        )
+        ranking.__dict__.update(strategy=strategy, ids=ids, keys=keys, denominator=denominator)
+        ranking.__dict__.update(_rows=rows, _position=position)
         return ranking
 
     def __reduce__(self):  # a copy is checked afresh and keeps no pool rows

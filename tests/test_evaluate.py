@@ -14,7 +14,9 @@ from reannotate import (
     BudgetSchedule,
     CurvePoint,
     CurveSeries,
+    GoldSet,
     Instance,
+    PredictionSet,
     RankedList,
     StrategyKind,
     ValidationError,
@@ -30,6 +32,8 @@ from reannotate import (
     micro_f1,
     rank,
     write_curves_csv,
+    write_gold,
+    write_predictions,
 )
 from reannotate import evaluate
 from reannotate.cli import main
@@ -608,14 +612,14 @@ def test_a_copied_ranking_gathers_its_rows_and_gives_the_same_curves():
     ranking = rank(pool, preds, None, StrategyKind.CONFIDENCE)
     other = rank(pool, None, None, StrategyKind.RANDOM, seed=2)
     schedule = BudgetSchedule.evenly(7, len(pool))
-    assert ranking._over is pool._position
+    assert ranking._position is pool._position
     copies = [
         pickle.loads(pickle.dumps(ranking)), copy.copy(ranking), copy.deepcopy(ranking),
         dataclasses.replace(ranking),
     ]
     for copied in copies:
         assert (copied, hash(copied), repr(copied)) == (ranking, hash(ranking), repr(ranking))
-        assert copied._rows is None and copied._over is None
+        assert copied._rows is None and copied._position is None
         assert efficiency_curve(copied, gold, schedule) == efficiency_curve(
             ranking, gold, schedule
         )
@@ -624,6 +628,51 @@ def test_a_copied_ranking_gathers_its_rows_and_gives_the_same_curves():
         assert f1_curve(preds, pool, copied, gold, schedule, NEG) == f1_curve(
             preds, pool, ranking, gold, schedule, NEG
         )
+
+
+def _written(path, write, *args):
+    write(*args, path)
+    return path
+
+
+# each builds one container over `pool` from predictions and gold over another
+LINKED = {
+    "load_predictions": lambda pool, preds, gold, hierarchy, tmp_path: load_predictions(
+        [_written(tmp_path / f"{m}.jsonl", write_predictions, preds, m) for m in preds.model_ids],
+        pool,
+    ),
+    "PredictionSet": lambda pool, preds, gold, hierarchy, tmp_path: PredictionSet(
+        [rec for m in preds.model_ids for rec in preds.records_for_model(m)], pool
+    ),
+    "load_gold": lambda pool, preds, gold, hierarchy, tmp_path: load_gold(
+        _written(tmp_path / "gold.jsonl", write_gold, gold), pool
+    ),
+    "GoldSet": lambda pool, preds, gold, hierarchy, tmp_path: GoldSet(gold.records(), pool),
+    **{
+        f"rank {kind.value}": lambda pool, preds, gold, hierarchy, tmp_path, kind=kind: rank(
+            pool, preds, hierarchy, kind, seed=1
+        )
+        for kind in StrategyKind
+    },
+}
+
+
+@pytest.mark.parametrize("build", LINKED.values(), ids=LINKED)
+def test_every_container_links_to_its_pool_by_its_own_map(build, excerpt, tmp_path):
+    # every constructor keeps the map of the pool it was given as `_position`,
+    # so it is read in place over that pool; over an equal pool with a map of
+    # its own it links to that map, not to the first pool's
+    rng = random.Random(4)
+    labels = [NEG, "per:parent", "per:spouse", "per:age", "org:founded_by"]
+    ids = [f"e{i:02d}" for i in range(20)]
+    pool = make_pool({iid: rng.choice(labels) for iid in ids})
+    by_model = {m: {iid: (rng.choice(labels), rng.random()) for iid in ids} for m in ("m1", "m2")}
+    preds = make_predictions(pool, by_model)
+    gold = make_gold(pool, {iid: rng.choice([*labels, None]) for iid in ids[::2]})
+    same = apply_label_map(pool, {label: label for label in pool.labels()})
+    assert build(pool, preds, gold, excerpt, tmp_path)._position is pool._position
+    linked = build(same, preds, gold, excerpt, tmp_path)._position
+    assert linked is same._position and linked is not pool._position
 
 
 def test_curves_from_many_threads_read_whole_caches():
