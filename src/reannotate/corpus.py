@@ -1,8 +1,9 @@
 """Loaders and containers for pools, model predictions, gold relabels, and label maps.
 
 All containers are immutable after construction and safe for concurrent
-reads. The one value a call keeps is a PredictionSet's f1_curve memo, put
-there in a single store of a finished tuple. Loading itself is
+reads. The values a call keeps are a PredictionSet's f1_curve memo and its
+GD/LD distance sums (`strategies._scores`), each put there in a single store
+of a finished tuple. Loading itself is
 single-threaded per file. Containers hold columns and build record objects
 on access. Equal labels in a container share one str object: each load or
 construction places labels through a label -> object map local to the call.
@@ -197,6 +198,7 @@ class PredictionSet:
     """
 
     _f1_memo: tuple | None = None  # evaluate.f1_curve's last (pool, gold, negative, drop, state)
+    _distance_memo: tuple | None = None  # strategies._scores' last (pool, hierarchy, sums, shift)
     _missing = "no predictions for instance {!r}"  # `_gather`'s message for an id without a slot
 
     def __init__(self, records: Iterable[PredictionRecord], pool: ReannotationPool) -> None:

@@ -14,9 +14,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import chain, repeat
-from operator import add, and_, eq, ge, gt, lshift, mul, ne, sub
+from itertools import repeat
+from operator import add, and_, eq, ge, gt, lshift, mul, ne, rshift, sub, truediv
 from pathlib import Path
+from typing import Sequence
 
 from .corpus import Instance, PredictionSet, ReannotationPool
 from .errors import ValidationError
@@ -54,16 +55,19 @@ def _scores(
     predictions: PredictionSet,
     hierarchy: LabelHierarchy | None,
     kind: StrategyKind,
+    keep: bool = True,
 ) -> tuple[list[int], int]:
     """Each pool row's GD, LD or CONFIDENCE score, as (int keys, denominator).
 
     Reads the K prediction columns lined up with `pool` (`PredictionSet._over`).
-    GD and LD walk one instance's K predictions in turn (walks then share a
-    path), once per distinct pair per call.
+    GD and LD come from one hierarchy walk per distinct (dataset label,
+    prediction) pair: the row sums of `_distance_sums` hold both. With `keep`,
+    those sums are kept on `predictions` for this (pool, hierarchy), so the
+    other of the two strategies reads them and walks no more.
     """
-    columns, dataset_labels = predictions._over(pool), pool._labels
-    k = len(columns)
+    k = predictions.k
     if kind is StrategyKind.CONFIDENCE:
+        columns, dataset_labels = predictions._over(pool), pool._labels
         smallest = min(min(filter(None, confs), default=1.0) for _, confs in columns)
         shift = 53 - math.frexp(smallest)[1]  # 2^shift times each confidence is an int
         first = min(shift, 1023)  # 2^1024 overflows a float
@@ -80,13 +84,41 @@ def _scores(
         scale = math.lcm(*range(1, k + 1))
         per_count = [0] + [scale // n for n in range(1, k + 1)]  # 0 models disagree: key 0
         return list(map(mul, total, map(per_count.__getitem__, count))), scale << shift
-    distance = cache(
-        hierarchy.tree_distance if kind is StrategyKind.GD else hierarchy.distance_to_lca
-    )
-    rows = zip(*(labels for labels, _ in columns))
-    row_labels = chain.from_iterable(map(repeat, dataset_labels, repeat(k)))
-    distances = map(distance, row_labels, chain.from_iterable(rows))
-    return list(map(sum, zip(*[distances] * k))), k  # one sum per K consecutive distances
+    memo = predictions._distance_memo
+    if memo is None or memo[0] is not pool or memo[1] is not hierarchy:
+        memo = (pool, hierarchy, *_distance_sums(predictions._over(pool), pool._labels, hierarchy))
+        if keep:
+            predictions._distance_memo = memo  # one store of a finished tuple
+    _, _, sums, shift = memo
+    gd = list(map(rshift, sums, repeat(shift)))
+    if kind is StrategyKind.GD:
+        return gd, k
+    # 2·LD = GD + d(a) - d(b) for each pair (a, b), so for a row's K pairs
+    # 2·LD = GD + K·d(a) - the sum of d(b), the low part of the row's sum
+    nodes, mask = hierarchy._nodes, (1 << shift) - 1
+    rows = zip(gd, pool._labels, sums)
+    return [(g + k * nodes[a].depth - (s & mask)) >> 1 for g, a, s in rows], k
+
+
+def _distance_sums(
+    columns: list[tuple[Sequence[str], Sequence[float]]],
+    dataset_labels: Sequence[str],
+    hierarchy: LabelHierarchy,
+) -> tuple[list[int], int]:
+    """Per row, the sum over its K pairs (a, b) of tree_distance(a, b) << shift | depth(b),
+    and shift. A row's K depths sum below 2^shift, so the high part of a row's sum
+    is its GD key and the low part its sum of depth(b)."""
+    shift = (len(columns) * (hierarchy.height + 1)).bit_length()
+    nodes, tree_distance = hierarchy._nodes, hierarchy.tree_distance
+
+    @cache
+    def pair(a: str, b: str) -> int:  # once per distinct pair
+        if a == b and a in nodes:  # no walk needed
+            return nodes[a].depth
+        return tree_distance(a, b) << shift | nodes[b].depth
+
+    # zip walks the columns row by row: one instance's K pairs in turn
+    return list(map(sum, zip(*[map(pair, dataset_labels, labels) for labels, _ in columns]))), shift
 
 
 def _score_one(
@@ -95,8 +127,9 @@ def _score_one(
     hierarchy: LabelHierarchy | None,
     kind: StrategyKind,
 ) -> Fraction:
+    # a one-row pool of its own per call, whose sums are not worth keeping
     pool = ReannotationPool._from_columns((instance.id,), (instance.label,), (None,), {})
-    keys, denominator = _scores(pool, predictions, hierarchy, kind)
+    keys, denominator = _scores(pool, predictions, hierarchy, kind, keep=False)
     return Fraction(keys[0], denominator)
 
 
@@ -202,8 +235,10 @@ class RankedList:
         with open(target, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["rank", "instance_id", "score"])
-            for position, (iid, key) in enumerate(zip(self.ids, self.keys), start=1):
-                writer.writerow([position, iid, repr(key / self.denominator)])
+            keys = set(self.keys)  # one float repr per distinct score
+            text = dict(zip(keys, map(repr, map(truediv, keys, repeat(self.denominator)))))
+            ranks = range(1, len(self.ids) + 1)
+            writer.writerows(zip(ranks, self.ids, map(text.__getitem__, self.keys)))
 
 
 def rank(

@@ -1,14 +1,15 @@
-"""Mutation smoke test for the JSON Lines loaders' checks.
+"""Mutation smoke test for the JSON Lines readers' checks and the GD/LD fast path.
 
 Each mutant below is applied alone to a copy of src/, tests/ and
-pyproject.toml in a temporary directory, and the loader tests run there:
+pyproject.toml in a temporary directory, and the tests in TESTS run there:
 
     python tests/mutants.py
 
 Each mutant must make the tests fail. Exit status: 0 when every mutant fails
 the tests, 1 naming each one that survives, 2 when a patch's anchor text does
 not occur exactly once in its file, when the unmutated copy does not pass, or
-when the tests did not import the copy's `reannotate`. Stdlib only; pytest's file pattern does not collect this file.
+when the tests did not import the copy's `reannotate`. Stdlib only; pytest's
+file pattern does not collect this file.
 """
 
 import os
@@ -20,7 +21,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = "src/reannotate/corpus.py"
-TESTS = ["tests/test_corpus.py", "tests/test_properties.py"]
+STRATEGIES = "src/reannotate/strategies.py"
+TESTS = ["tests/test_corpus.py", "tests/test_properties.py", "tests/test_strategies.py"]
 PYTEST = ["-q", "-x", "-p", "no:cacheprovider", *TESTS]
 # `python -m pytest`, but only once the `reannotate` that the tests will use is
 # known to be the copy's: `pythonpath = ["src"]` and an editable install of
@@ -112,6 +114,24 @@ MUTANTS = [
         CORPUS,
         "    if pool._ids[start:stop] == tuple(ids):",
         "    if pool._ids[start:start + 1] == tuple(ids[:1]):",
+    ),
+    (
+        "(k) the walks kept on a prediction set serve another hierarchy",
+        STRATEGIES,
+        "    if memo is None or memo[0] is not pool or memo[1] is not hierarchy:\n",
+        "    if memo is None or memo[0] is not pool:\n",
+    ),
+    (
+        "(l) LD keeps twice its sum: the halving shift is dropped",
+        STRATEGIES,
+        "    return [(g + k * nodes[a].depth - (s & mask)) >> 1 for g, a, s in rows], k\n",
+        "    return [g + k * nodes[a].depth - (s & mask) for g, a, s in rows], k\n",
+    ),
+    (
+        "(m) GD and LD swap their keys",
+        STRATEGIES,
+        "    if kind is StrategyKind.GD:\n        return gd, k\n",
+        "    if kind is StrategyKind.LD:\n        return gd, k\n",
     ),
 ]
 

@@ -1,12 +1,24 @@
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
 
-from helpers import make_pool, make_predictions
+from helpers import (
+    adjacency,
+    ancestor_chain,
+    bfs_distance,
+    lca_by_ancestor_sets,
+    make_pool,
+    make_predictions,
+)
 from reannotate import (
+    LabelHierarchy,
     StrategyKind,
+    UnknownLabelError,
     ValidationError,
+    apply_label_map,
     confidence_score,
     graph_distance_score,
     lca_distance_score,
@@ -325,3 +337,143 @@ def test_scores_nonnegative_on_random_trees():
         for inst in bundle.pool:
             assert graph_distance_score(inst, bundle.predictions, h) >= 0
             assert confidence_score(inst, bundle.predictions) >= 0
+
+
+# -- GD and LD from one walk per distinct pair ---------------------------------
+
+GD, LD = StrategyKind.GD, StrategyKind.LD
+
+
+def _random_tree_bundle(rng, nodes, size, models):
+    """A random tree, a pool over its nodes and {model: {id: label}}; a model
+    agrees with the dataset label about a third of the time."""
+    h = random_tree(rng, nodes)
+    names = h.names()
+    dataset = {f"e{i:03d}": rng.choice(names) for i in range(size)}
+    by_model = {
+        f"m{j}": {
+            iid: label if rng.random() < 0.3 else rng.choice(names)
+            for iid, label in dataset.items()
+        }
+        for j in range(models)
+    }
+    return h, make_pool(dataset), by_model
+
+
+def _oracle_scores(h, pool, by_model):
+    """{kind: {id: score}} from BFS distances and ancestor-set LCAs."""
+    records = h.records()
+    adj, parents = adjacency(records), dict(records)
+
+    def depth(name):
+        return len(ancestor_chain(parents, name)) - 1
+
+    scores = {GD: {}, LD: {}}
+    for iid in pool.ids():
+        a = pool.label_of(iid)
+        predicted = [labels[iid] for labels in by_model.values()]
+        gd = [bfs_distance(adj, a, b) for b in predicted]
+        ld = [depth(a) - depth(lca_by_ancestor_sets(parents, a, b)) for b in predicted]
+        scores[GD][iid] = Fraction(sum(gd), len(gd))
+        scores[LD][iid] = Fraction(sum(ld), len(ld))
+    return scores
+
+
+def _scores_of(ranked):
+    return {iid: Fraction(key, ranked.denominator) for iid, key in zip(ranked.ids, ranked.keys)}
+
+
+def test_gd_and_ld_in_either_order_equal_each_alone_on_random_trees():
+    # the second of the two strategies over one prediction set reads what the
+    # first one kept; either order gives each strategy's list on a fresh set
+    rng = random.Random(24)
+    for _ in range(30):
+        h, pool, by_model = _random_tree_bundle(
+            rng, rng.randint(1, 40), rng.randint(1, 30), rng.randint(1, 6)
+        )
+        alone = {kind: rank(pool, make_predictions(pool, by_model), h, kind) for kind in (GD, LD)}
+        for first, second in ((GD, LD), (LD, GD)):
+            predictions = make_predictions(pool, by_model)
+            assert rank(pool, predictions, h, first) == alone[first]
+            assert rank(pool, predictions, h, second) == alone[second]
+        oracle = _oracle_scores(h, pool, by_model)
+        for kind, ranked in alone.items():
+            assert ranked.denominator == len(by_model)
+            assert _scores_of(ranked) == oracle[kind]
+
+
+class _CountingHierarchy(LabelHierarchy):
+    """Counts tree_distance calls: `rank` makes one per distinct pair it walks."""
+
+    walks = 0
+
+    def tree_distance(self, a, b):
+        self.walks += 1
+        return super().tree_distance(a, b)
+
+
+def test_kept_walks_serve_only_their_own_pool_and_hierarchy():
+    rng = random.Random(9)
+    h, pool, by_model = _random_tree_bundle(rng, 30, 25, 4)
+    counted = _CountingHierarchy(h.records())
+    other = random_tree(rng, 30)  # the same names in another shape
+    predictions = make_predictions(pool, by_model)
+
+    def fresh(p, hierarchy, kind):  # on a fresh set, over an uncounted hierarchy
+        return rank(p, make_predictions(pool, by_model), hierarchy, kind)
+
+    assert rank(pool, predictions, counted, GD) == fresh(pool, h, GD)
+    walks = counted.walks
+    assert walks > 0
+    assert rank(pool, predictions, counted, LD) == fresh(pool, h, LD)
+    assert counted.walks == walks  # the second strategy walks nothing
+
+    assert fresh(pool, other, LD) != fresh(pool, h, LD)
+    assert rank(pool, predictions, other, LD) == fresh(pool, other, LD)
+    again = _CountingHierarchy(h.records())  # an equal hierarchy, but another object
+    assert rank(pool, predictions, again, GD) == fresh(pool, h, GD)
+    assert again.walks == walks
+
+    mapped = apply_label_map(pool, {label: label for label in pool.labels()})
+    reordered = make_pool({iid: pool.label_of(iid) for iid in reversed(pool.ids())})
+    for p in (mapped, reordered):
+        rank(pool, predictions, counted, GD)  # kept for `pool` again
+        counted.walks = 0
+        assert rank(p, predictions, counted, LD) == fresh(p, h, LD)
+        assert counted.walks == walks
+
+
+def test_unknown_label_keeps_nothing():
+    small = LabelHierarchy([("root", None), ("a", "root")])
+    large = LabelHierarchy([("root", None), ("a", "root"), ("b", "root"), ("c", "b")])
+    pool = make_pool({"e1": "a", "e2": "c"})
+    predictions = make_predictions(
+        pool, {"m1": {"e1": "b", "e2": "a"}, "m2": {"e1": "a", "e2": "c"}}
+    )
+    for kind in (GD, LD, GD):  # a call that raised kept nothing a later call could read
+        with pytest.raises(UnknownLabelError, match="label not in hierarchy: 'b'"):
+            rank(pool, predictions, small, kind)
+    # e1: (a, b) 2 edges, 1 up to the LCA; e2: (c, a) 3 edges, 2 up to the LCA
+    assert _scores_of(rank(pool, predictions, large, LD)) == {"e1": Fraction(1, 2), "e2": 1}
+    assert _scores_of(rank(pool, predictions, large, GD)) == {"e1": 1, "e2": Fraction(3, 2)}
+
+
+def test_gd_and_ld_from_many_threads_read_whole_walks():
+    # the walks are kept on the predictions in one store of a finished tuple:
+    # threads racing on fresh sets, in either order, all get one thread's lists
+    h, pool, by_model = _random_tree_bundle(random.Random(8), 200, 300, 5)
+
+    def both(predictions, i):
+        return {kind: rank(pool, predictions, h, kind) for kind in ((GD, LD), (LD, GD))[i % 2]}
+
+    expected = both(make_predictions(pool, by_model), 0)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(4):
+            fresh = make_predictions(pool, by_model)
+            with ThreadPoolExecutor(max_workers=8) as pool_of_threads:
+                futures = [pool_of_threads.submit(both, fresh, i) for i in range(8)]
+                assert all(future.result(timeout=60) == expected for future in futures)
+    finally:
+        sys.setswitchinterval(interval)
