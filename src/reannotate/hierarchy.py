@@ -3,13 +3,10 @@
 from __future__ import annotations
 
 import json
-from operator import itemgetter
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
 from .errors import ParseError, ValidationError
-
-_PARENT_TYPES = frozenset({str, type(None)})
 
 
 class UnknownLabelError(ValidationError):
@@ -44,15 +41,14 @@ class LabelHierarchy:
     """
 
     def __init__(self, records: Iterable[tuple[str, str | None]]) -> None:
-        records = list(records)
-        parent_names: dict[str, str | None] = dict(records)
-        if len(parent_names) != len(records):  # rescan for the first repeat
-            seen: set[str] = set()
-            for name, _ in records:
-                if name in seen:
-                    raise ValidationError(f"duplicate node name: {name!r}")
-                seen.add(name)
-        if not parent_names:
+        nodes: dict[str, HierarchyNode] = {}
+        parent_names: dict[str, str | None] = {}
+        for name, parent in records:
+            if name in nodes:
+                raise ValidationError(f"duplicate node name: {name!r}")
+            nodes[name] = HierarchyNode(name)
+            parent_names[name] = parent
+        if not nodes:
             raise ValidationError("hierarchy has no nodes")
 
         roots = [name for name, parent in parent_names.items() if parent is None]
@@ -61,28 +57,25 @@ class LabelHierarchy:
         if len(roots) > 1:
             raise ValidationError("multiple roots: " + ", ".join(sorted(roots)))
 
-        nodes = dict(zip(parent_names, map(HierarchyNode, parent_names)))
-        parents = list(map(nodes.get, parent_names.values()))
-        if parents.count(None) > 1:  # rescan for the first unknown parent
-            for name, parent in parent_names.items():
-                if parent is not None and parent not in nodes:
-                    raise ValidationError(f"node {name!r} references unknown parent {parent!r}")
-        for node, parent in zip(nodes.values(), parents):
-            if parent is not None:
-                node.parent = parent
-                parent.children.append(node)
+        for name, parent in parent_names.items():
+            if parent is None:
+                continue
+            if parent not in nodes:
+                raise ValidationError(f"node {name!r} references unknown parent {parent!r}")
+            node = nodes[name]
+            node.parent = nodes[parent]
+            nodes[parent].children.append(node)
 
         root = nodes[roots[0]]
-        root.depth = depth = 0
+        root.depth = 0
         reached = 1
         frontier = [root]
         while frontier:
-            depth += 1
             nxt: list[HierarchyNode] = []
             for node in frontier:
-                nxt += node.children
-            for child in nxt:
-                child.depth = depth
+                for child in node.children:
+                    child.depth = node.depth + 1
+                    nxt.append(child)
             reached += len(nxt)
             frontier = nxt
         if reached != len(nodes):
@@ -91,7 +84,7 @@ class LabelHierarchy:
 
         self._nodes = nodes
         self._root = root
-        self._height = depth - 1  # the last level reached
+        self._height = max(node.depth for node in nodes.values())
 
     # -- structure accessors -------------------------------------------------
 
@@ -145,34 +138,31 @@ class LabelHierarchy:
         except KeyError:
             raise UnknownLabelError(f"label not in hierarchy: {name!r}") from None
 
-    def tree_distance(self, a: str, b: str) -> int:
-        """Number of edges on the unique simple path between ``a`` and ``b``."""
-        try:
-            na, nb = self._nodes[a], self._nodes[b]
-        except KeyError:
-            self._node(a), self._node(b)  # raises for the first unknown label
-        depths = na.depth + nb.depth
-        # depth-equalizing two-pointer walk up to the LCA; O(h) parent steps
-        while na.depth > nb.depth:
-            na = na.parent
-        while nb.depth > na.depth:
-            nb = nb.parent
-        while na is not nb:
-            na = na.parent
-            nb = nb.parent
-        return depths - 2 * na.depth
-
-    def distance_to_lca(self, a: str, b: str) -> int:
-        """Edges from ``a`` up to lca(a, b). Not symmetric in general."""
-        # the path from a to b climbs this far from a and descends the rest
-        return (self.tree_distance(a, b) + self.depth(a) - self.depth(b)) // 2
+    @staticmethod
+    def _lca_node(a: HierarchyNode, b: HierarchyNode) -> HierarchyNode:
+        # depth-equalizing two-pointer walk; O(h) parent steps
+        while a.depth > b.depth:
+            a = a.parent
+        while b.depth > a.depth:
+            b = b.parent
+        while a is not b:
+            a = a.parent
+            b = b.parent
+        return a
 
     def lca(self, a: str, b: str) -> str:
         """Deepest node that is an ancestor-or-self of both ``a`` and ``b``."""
-        node = self._node(a)
-        for _ in range(self.distance_to_lca(a, b)):
-            node = node.parent
-        return node.name
+        return self._lca_node(self._node(a), self._node(b)).name
+
+    def tree_distance(self, a: str, b: str) -> int:
+        """Number of edges on the unique simple path between ``a`` and ``b``."""
+        na, nb = self._node(a), self._node(b)
+        return na.depth + nb.depth - 2 * self._lca_node(na, nb).depth
+
+    def distance_to_lca(self, a: str, b: str) -> int:
+        """Edges from ``a`` up to lca(a, b). Not symmetric in general."""
+        na, nb = self._node(a), self._node(b)
+        return na.depth - self._lca_node(na, nb).depth
 
     def validate_labels(self, labels: Iterable[str]) -> list[str]:
         """Sorted list of the given labels that do not resolve to a node.
@@ -190,21 +180,6 @@ def _read_json(path: Path) -> Any:
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
 
 
-def _node_columns(entries: list) -> list[tuple[str, str | None]] | None:
-    """The (name, parent) pairs of node entries checked column by column, or None
-    when some entry is defective: not an object, a field missing, an empty or
-    non-string name, or a parent neither a string nor null."""
-    try:
-        names = list(map(itemgetter("name"), entries))
-        parents = list(map(itemgetter("parent"), entries))
-        "".join(names)  # a TypeError unless every name is a str; json makes no subclass
-    except (KeyError, TypeError):  # TypeError: an entry that is no object, or a name no str
-        return None
-    if not all(names) or not _PARENT_TYPES.issuperset(map(type, parents)):
-        return None
-    return list(zip(names, parents))
-
-
 def load_hierarchy(source: str | Path) -> LabelHierarchy:
     """Load a hierarchy document: {"nodes": [{"name": ..., "parent": ...}, ...]}.
 
@@ -214,18 +189,18 @@ def load_hierarchy(source: str | Path) -> LabelHierarchy:
     doc = _read_json(path)
     if not isinstance(doc, dict) or not isinstance(doc.get("nodes"), list):
         raise ParseError(f"{path}: expected an object with a 'nodes' array")
-    records = _node_columns(doc["nodes"])
-    if records is None:  # the checks below refuse what _node_columns does, so this loop raises
-        for i, entry in enumerate(doc["nodes"]):
-            if not isinstance(entry, dict):
-                raise ParseError(f"{path}: nodes[{i}] is not an object")
-            if "name" not in entry or "parent" not in entry:
-                raise ParseError(f"{path}: nodes[{i}] needs 'name' and 'parent' fields")
-            name, parent = entry["name"], entry["parent"]
-            if not isinstance(name, str) or not name:
-                raise ParseError(f"{path}: nodes[{i}] has a non-string or empty name")
-            if parent is not None and not isinstance(parent, str):
-                raise ParseError(f"{path}: nodes[{i}] parent must be a string or null")
+    records: list[tuple[str, str | None]] = []
+    for i, entry in enumerate(doc["nodes"]):
+        if not isinstance(entry, dict):
+            raise ParseError(f"{path}: nodes[{i}] is not an object")
+        if "name" not in entry or "parent" not in entry:
+            raise ParseError(f"{path}: nodes[{i}] needs 'name' and 'parent' fields")
+        name, parent = entry["name"], entry["parent"]
+        if not isinstance(name, str) or not name:
+            raise ParseError(f"{path}: nodes[{i}] has a non-string or empty name")
+        if parent is not None and not isinstance(parent, str):
+            raise ParseError(f"{path}: nodes[{i}] parent must be a string or null")
+        records.append((name, parent))
     return LabelHierarchy(records)
 
 

@@ -55,15 +55,14 @@ def _scores(
     predictions: PredictionSet,
     hierarchy: LabelHierarchy | None,
     kind: StrategyKind,
-    keep: bool = True,
 ) -> tuple[list[int], int]:
     """Each pool row's GD, LD or CONFIDENCE score, as (int keys, denominator).
 
     Reads the K prediction columns lined up with `pool` (`PredictionSet._over`).
     GD and LD come from one hierarchy walk per distinct (dataset label,
-    prediction) pair: the row sums of `_distance_sums` hold both. With `keep`,
-    those sums are kept on `predictions` for this (pool, hierarchy), so the
-    other of the two strategies reads them and walks no more.
+    prediction) pair: the row sums of `_distance_sums` hold both. Those sums
+    are kept on `predictions` for this (pool, hierarchy), so the other of the
+    two strategies reads them and walks no more.
     """
     k = predictions.k
     if kind is StrategyKind.CONFIDENCE:
@@ -87,17 +86,11 @@ def _scores(
     memo = predictions._distance_memo
     if memo is None or memo[0] is not pool or memo[1] is not hierarchy:
         memo = (pool, hierarchy, *_distance_sums(predictions._over(pool), pool._labels, hierarchy))
-        if keep:
-            predictions._distance_memo = memo  # one store of a finished tuple
+        predictions._distance_memo = memo  # one store of a finished tuple
     _, _, sums, shift = memo
-    gd = list(map(rshift, sums, repeat(shift)))
     if kind is StrategyKind.GD:
-        return gd, k
-    # 2·LD = GD + d(a) - d(b) for each pair (a, b), so for a row's K pairs
-    # 2·LD = GD + K·d(a) - the sum of d(b), the low part of the row's sum
-    nodes, mask = hierarchy._nodes, (1 << shift) - 1
-    rows = zip(gd, pool._labels, sums)
-    return [(g + k * nodes[a].depth - (s & mask)) >> 1 for g, a, s in rows], k
+        return list(map(rshift, sums, repeat(shift))), k
+    return list(map(and_, sums, repeat((1 << shift) - 1))), k
 
 
 def _distance_sums(
@@ -105,17 +98,22 @@ def _distance_sums(
     dataset_labels: Sequence[str],
     hierarchy: LabelHierarchy,
 ) -> tuple[list[int], int]:
-    """Per row, the sum over its K pairs (a, b) of tree_distance(a, b) << shift | depth(b),
-    and shift. A row's K depths sum below 2^shift, so the high part of a row's sum
-    is its GD key and the low part its sum of depth(b)."""
-    shift = (len(columns) * (hierarchy.height + 1)).bit_length()
-    nodes, tree_distance = hierarchy._nodes, hierarchy.tree_distance
+    """Per row, the sum over its K pairs (a, b) of tree_distance(a, b) << shift |
+    distance_to_lca(a, b), and shift. A row's K distances to the LCA sum below
+    2^shift, so the high part of a row's sum is its GD key and the low part its
+    LD key."""
+    shift = (len(columns) * hierarchy.height).bit_length()
+    nodes, lca_node = hierarchy._nodes, hierarchy._lca_node
 
     @cache
-    def pair(a: str, b: str) -> int:  # once per distinct pair
-        if a == b and a in nodes:  # no walk needed
-            return nodes[a].depth
-        return tree_distance(a, b) << shift | nodes[b].depth
+    def pair(a: str, b: str) -> int:  # one LCA walk per distinct pair
+        try:
+            na, nb = nodes[a], nodes[b]
+        except KeyError:
+            hierarchy._node(a), hierarchy._node(b)  # raises for the first unknown label
+        lca_depth = lca_node(na, nb).depth
+        up, down = na.depth - lca_depth, nb.depth - lca_depth
+        return (up + down) << shift | up  # tree_distance, distance_to_lca
 
     # zip walks the columns row by row: one instance's K pairs in turn
     return list(map(sum, zip(*[map(pair, dataset_labels, labels) for labels, _ in columns]))), shift
@@ -127,9 +125,8 @@ def _score_one(
     hierarchy: LabelHierarchy | None,
     kind: StrategyKind,
 ) -> Fraction:
-    # a one-row pool of its own per call, whose sums are not worth keeping
     pool = ReannotationPool._from_columns((instance.id,), (instance.label,), (None,), {})
-    keys, denominator = _scores(pool, predictions, hierarchy, kind, keep=False)
+    keys, denominator = _scores(pool, predictions, hierarchy, kind)
     return Fraction(keys[0], denominator)
 
 

@@ -122,16 +122,22 @@ MUTANTS = [
         "    if memo is None or memo[0] is not pool:\n",
     ),
     (
-        "(l) LD keeps twice its sum: the halving shift is dropped",
+        "(l) LD counts the edges from the LCA down to the prediction",
         STRATEGIES,
-        "    return [(g + k * nodes[a].depth - (s & mask)) >> 1 for g, a, s in rows], k\n",
-        "    return [g + k * nodes[a].depth - (s & mask) for g, a, s in rows], k\n",
+        "        return (up + down) << shift | up  # tree_distance, distance_to_lca\n",
+        "        return (up + down) << shift | down  # tree_distance, distance_to_lca\n",
     ),
     (
         "(m) GD and LD swap their keys",
         STRATEGIES,
-        "    if kind is StrategyKind.GD:\n        return gd, k\n",
-        "    if kind is StrategyKind.LD:\n        return gd, k\n",
+        "    if kind is StrategyKind.GD:\n        return list(map(rshift,",
+        "    if kind is StrategyKind.LD:\n        return list(map(rshift,",
+    ),
+    (
+        "(n) a row's LD sum may carry into its GD part: the shift leaves out K",
+        STRATEGIES,
+        "    shift = (len(columns) * hierarchy.height).bit_length()\n",
+        "    shift = hierarchy.height.bit_length()\n",
     ),
 ]
 

@@ -403,13 +403,13 @@ def test_gd_and_ld_in_either_order_equal_each_alone_on_random_trees():
 
 
 class _CountingHierarchy(LabelHierarchy):
-    """Counts tree_distance calls: `rank` makes one per distinct pair it walks."""
+    """Counts LCA walks: `rank` makes one per distinct pair it has not kept."""
 
     walks = 0
 
-    def tree_distance(self, a, b):
+    def _lca_node(self, a, b):
         self.walks += 1
-        return super().tree_distance(a, b)
+        return LabelHierarchy._lca_node(a, b)
 
 
 def test_kept_walks_serve_only_their_own_pool_and_hierarchy():
