@@ -286,18 +286,14 @@ def micro_f1(
 
 
 def _f1_state(
-    predictions: PredictionSet, pool: Iterable[Instance], gold: GoldSet, negative_label: str,
+    predictions: PredictionSet, pool: ReannotationPool, gold: GoldSet, negative_label: str,
     drop_eliminated: bool,
 ) -> tuple:
     """The part of `f1_curve` that no ranking changes: the pool's id -> row
     map, a flag per row (1 where the gold value changes the row's label in
     `pool`), the changed rows as a row -> index map, each changed id's G
     delta, and per model its budget-0 (tp, P, G) and each changed id's tp and
-    P deltas. A plain iterable is checked as a pool of its ids and labels."""
-    if not isinstance(pool, ReannotationPool):
-        # no instances give ((), ()), which _from_columns refuses as an empty pool
-        ids, labels = tuple(zip(*((inst.id, inst.label) for inst in pool))) or ((), ())
-        pool = ReannotationPool._from_columns(ids, labels, [None] * len(ids), {})
+    P deltas."""
     columns = predictions._over(pool)
     labels, row = pool._labels, pool._position
     credit = _credited(labels, negative_label)
@@ -348,21 +344,21 @@ def f1_curve(
     ``apply_reannotation(pool, ranking, gold, B)`` at every budget, but
     counted once over the pool and then kept as running counts over the
     ids whose gold value changes their label in `pool`, in rank order.
-    The counts and the per-changed-id deltas do not depend on the ranking:
-    for a `ReannotationPool` they are kept on `predictions` for the last
-    (pool, gold, negative label, drop) and reused; a plain iterable of
-    instances builds them afresh on each call. The ranking's rows over the
-    pool are read in place when `rank` ordered it, else gathered by id.
+    Any other iterable of instances is first made a `ReannotationPool`, with
+    that constructor's checks. The counts and the per-changed-id deltas do
+    not depend on the ranking: they are kept on `predictions` for the last
+    (pool, gold, negative label, drop) and reused, so a pool made afresh
+    from a plain iterable rebuilds them. The ranking's rows over the pool
+    are read in place when `rank` ordered it, else gathered by id.
     """
+    if not isinstance(pool, ReannotationPool):
+        pool = ReannotationPool(pool)
     key = (pool, gold, negative_label, drop_eliminated)
     # keyed on the pool, not its `_position`: each pool builds its own map, so the two agree
-    if isinstance(pool, ReannotationPool):
-        memo = predictions._f1_memo
-        if memo is None or memo[0] is not pool or memo[1] is not gold or memo[2:4] != key[2:]:
-            memo = predictions._f1_memo = (*key, _f1_state(predictions, *key))
-        position, changed, index, gained, models = memo[4]
-    else:
-        position, changed, index, gained, models = _f1_state(predictions, *key)
+    memo = predictions._f1_memo
+    if memo is None or memo[0] is not pool or memo[1] is not gold or memo[2:4] != key[2:]:
+        memo = predictions._f1_memo = (*key, _f1_state(predictions, *key))
+    position, changed, index, gained, models = memo[4]
     rows = _rows_of(ranking, position, "pool and ranking cover different instances")
     _check_budgets(schedule, len(ranking))
 

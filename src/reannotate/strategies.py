@@ -125,8 +125,7 @@ def _score_one(
     hierarchy: LabelHierarchy | None,
     kind: StrategyKind,
 ) -> Fraction:
-    pool = ReannotationPool._from_columns((instance.id,), (instance.label,), (None,), {})
-    keys, denominator = _scores(pool, predictions, hierarchy, kind)
+    keys, denominator = _scores(ReannotationPool((instance,)), predictions, hierarchy, kind)
     return Fraction(keys[0], denominator)
 
 

@@ -107,7 +107,6 @@ def synth_corpus(
     plant_min_distance: int = 4,
     flip_max_distance: int = 2,
     allow_internal_predictions: bool = False,
-    partition: str = "test",
 ) -> SynthBundle:
     """Generate a corpus with planted label noise.
 
@@ -159,7 +158,7 @@ def synth_corpus(
             label = truth
             if rng.random() < 0.5:
                 gold_records.append(GoldRecord(iid, truth))
-        instances.append(Instance(iid, label, partition=partition))
+        instances.append(Instance(iid, label, partition="test"))
         for model_id in model_ids:
             if rng.random() < flip_rate:
                 predicted = rng.choice(near[truth])

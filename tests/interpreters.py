@@ -5,11 +5,13 @@
 Under each interpreter it runs the commands of tests/test_golden.py in a
 temporary directory and compares every output's sha256 with that file's
 GOLDEN table, which it imports rather than copies. It then runs one
-`perfbench/run.py --seconds 1` smoke run per benchmark workload and reads
-`failed` from its result line. It prints one line per interpreter. Exit
-status: 0 when every interpreter passes; 1 when any digest differs, a
-command or run fails, an operation fails, or an interpreter does not start.
-Stdlib only; pytest's file pattern does not collect this file.
+`perfbench/run.py --seconds 1` smoke run per benchmark workload at
+`--trace 0` and at `--trace 1`, and reads `attempted` and `failed` from
+each result line. It prints one line per interpreter. Exit status: 0 when
+every interpreter passes; 1 when any digest differs, a command or run
+fails, a run attempts no operation, an operation fails, or an interpreter
+does not start. Stdlib only; pytest's file pattern does not collect this
+file. CI runs it as its benchmark smoke step.
 """
 
 import argparse
@@ -18,6 +20,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from itertools import product
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -79,17 +82,20 @@ def check(python, env):
         problems += [f"{name} differs" for name in differ]
         golden = f"{len(differ)} of {len(GOLDEN | digests)} differ" if differ else "identical"
     operations = failed = 0
-    for workload in sorted(WORKLOADS):
+    for workload, trace in product(sorted(WORKLOADS), ("0", "1")):
         argv = [python, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
-                "--seed", "1", "--seconds", "1"]
+                "--seed", "1", "--seconds", "1", "--trace", trace]
+        run = f"perfbench {workload} --trace {trace}"
         line, error = _last_json(argv, ROOT, env)
         if error:
-            problems.append(f"perfbench {workload}: {error}")
+            problems.append(f"{run}: {error}")
             continue
         operations += line["attempted"]
         failed += line["failed"]
+        if not line["attempted"]:
+            problems.append(f"{run}: no operation attempted")
         if line["failed"]:
-            problems.append(f"perfbench {workload}: {line['failed']} failed")
+            problems.append(f"{run}: {line['failed']} failed")
     summary = (
         f"{python} (Python {version}): golden digests {golden}, "
         f"perfbench {operations} operations, {failed} failed"

@@ -137,6 +137,19 @@ def test_deeply_nested_json_exits_2(tmp_path, excerpt, capsys, target):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("nodes, message", [
+    ([1], "nodes[0] is not an object"),
+    ([{"name": "a", "parent": 3}], "nodes[0] parent must be a string or null"),
+])
+def test_malformed_hierarchy_entry_exits_2(tmp_path, excerpt, capsys, nodes, message):
+    write_bundle(tmp_path, excerpt, make_pool({"s1": "per:parent"}))
+    hierarchy = tmp_path / "hierarchy.json"
+    hierarchy.write_text(json.dumps({"nodes": nodes}))
+    flags = ["--hierarchy", str(hierarchy), "--dataset", str(tmp_path / "pool.jsonl")]
+    assert main(["validate", *flags]) == 2
+    assert capsys.readouterr().err == f"error: {hierarchy}: {message}\n"
+
+
 def test_validate_rejects_empty_predictions_file(worked_bundle, capsys):
     tmp_path, flags = worked_bundle
     empty = tmp_path / "empty.jsonl"

@@ -70,6 +70,10 @@ def test_schedule_explicit_validation():
         BudgetSchedule((-1, 2))
     with pytest.raises(ValidationError, match="empty"):
         BudgetSchedule(())
+    assert BudgetSchedule([0, 5]).budgets == (0, 5)
+    for budgets in ((0, 1.5), (True,)):
+        with pytest.raises(ValidationError, match="is not an integer"):
+            BudgetSchedule(budgets)
 
 
 def test_curve_series_guards():
@@ -95,6 +99,7 @@ def test_jaccard_worked_example():
     two = ordered_ranking(["b", "c", "a"])
     curve = jaccard_curve(one, two, BudgetSchedule((0, 1, 2, 3)))
     assert curve.values() == (Fraction(1), Fraction(0), Fraction(1, 3), Fraction(1))
+    assert curve.budgets() == (0, 1, 2, 3)
     assert curve.metric == "jaccard"
     assert curve.series == "gd"
 
@@ -426,6 +431,7 @@ def test_f1_curve_reused_state_follows_every_input():
         (pool, second, gold, NEG, True),
         (pool, second, gold, NEG, False),
         (pool, second, gold, "A", False),
+        (list(relabeled), second, gold, "A", False),  # a plain list's state replaces the pool's
         (pool, second, other_gold, "A", False),
         (relabeled, second, other_gold, "A", False),
         (pool, first, gold, NEG, True),
@@ -477,17 +483,27 @@ def test_f1_curve_missing_prediction(six_case):
         f1_curve(preds, pool, ranking, make_gold(pool, {}), BudgetSchedule((0,)), NEG)
 
 
-@pytest.mark.parametrize("labels, message", [
-    ([("e1", "A"), ("e2", "A"), ("e1", "B")], "duplicate instance id: 'e1'"),
+@pytest.mark.parametrize("plain, message", [
+    (
+        [Instance("e1", "A"), Instance("e2", "A"), Instance("e1", "B")],
+        "duplicate instance id: 'e1'",
+    ),
     ([], "pool is empty"),
-    ([("e1", "A"), ("e2", "")], "instance 'e2' has an empty label"),
+    ([Instance("e1", "A"), Instance("e2", "")], "instance 'e2' has an empty label"),
+    (
+        [Instance("e1", "A", "TRAIN")],
+        "instance 'e1' has partition 'TRAIN', expected one of ('train', 'dev', 'test')",
+    ),
+    (
+        [Instance("e1", "A", metadata={"id": "e9"})],
+        "instance 'e1' has pool field 'id' in its metadata",
+    ),
 ])
-def test_f1_curve_checks_a_plain_pool_like_a_pool(six_case, labels, message):
-    # a plain list of instances is checked as a pool of its ids and labels
+def test_f1_curve_checks_a_plain_pool_like_a_pool(six_case, plain, message):
+    # a plain list of instances is made a ReannotationPool, with that constructor's checks
     pool, preds = six_case
     ranking = ordered_ranking(list(pool.ids()))
-    plain = [Instance(iid, label) for iid, label in labels]
-    with pytest.raises(ValidationError, match=f"^{message}$"):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         f1_curve(preds, plain, ranking, make_gold(pool, {}), BudgetSchedule((0,)), NEG)
 
 

@@ -58,6 +58,7 @@ def test_empty_rejected():
 def test_children_follow_record_order():
     h = LabelHierarchy([("r", None), ("b", "r"), ("a", "r")])
     assert h.children("r") == ("b", "a")
+    assert list(h) == list(h.names()) == ["r", "b", "a"]
     assert h.parent("a") == "r"
     assert h.parent("r") is None
 
@@ -195,6 +196,9 @@ def test_load_rejects_wrong_shape(tmp_path):
     path.write_text(json.dumps([1, 2]))
     with pytest.raises(ParseError, match="nodes"):
         load_hierarchy(path)
+    path.write_text(json.dumps({"nodes": [1]}))
+    with pytest.raises(ParseError, match=r"nodes\[0\] is not an object$"):
+        load_hierarchy(path)
 
 
 def test_load_rejects_missing_fields(tmp_path):
@@ -208,6 +212,9 @@ def test_load_rejects_nonstring_name(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"nodes": [{"name": 3, "parent": None}]}))
     with pytest.raises(ParseError):
+        load_hierarchy(path)
+    path.write_text(json.dumps({"nodes": [{"name": "a", "parent": 3}]}))
+    with pytest.raises(ParseError, match=r"nodes\[0\] parent must be a string or null$"):
         load_hierarchy(path)
 
 

@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -14,6 +15,7 @@ from helpers import (
     make_predictions,
 )
 from reannotate import (
+    Instance,
     LabelHierarchy,
     StrategyKind,
     UnknownLabelError,
@@ -72,6 +74,26 @@ def test_confidence_single_disagreement():
     pool = make_pool({"s1": "a"})
     preds = make_predictions(pool, {"m1": {"s1": ("a", 0.9)}, "m2": {"s1": ("b", 0.6)}})
     assert confidence_score(pool.get("s1"), preds) == Fraction(0.6)
+
+
+@pytest.mark.parametrize("instance, message", [
+    (
+        Instance("s1", "per:parent", "TRAIN"),
+        "instance 's1' has partition 'TRAIN', expected one of ('train', 'dev', 'test')",
+    ),
+    (
+        Instance("s1", "per:parent", metadata={"id": "s9"}),
+        "instance 's1' has pool field 'id' in its metadata",
+    ),
+])
+def test_single_instance_scores_check_the_instance_like_a_pool(
+    excerpt, worked_pool, instance, message
+):
+    _, preds = worked_pool
+    for score in (lambda: graph_distance_score(instance, preds, excerpt),
+                  lambda: confidence_score(instance, preds)):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            score()
 
 
 def test_unresolvable_label_raises(excerpt):
@@ -192,6 +214,10 @@ def test_rank_requires_predictions():
     pool = make_pool({"e1": "a"})
     with pytest.raises(ValidationError, match="predictions"):
         rank(pool, None, None, StrategyKind.GD)
+    preds = make_predictions(pool, {"m1": {"e1": "b"}})
+    for kind in (StrategyKind.GD, StrategyKind.LD):
+        with pytest.raises(ValidationError, match=f"^{kind.value} strategy requires a hierarchy$"):
+            rank(pool, preds, None, kind)
 
 
 def test_top_prefix():

@@ -74,6 +74,11 @@ def test_planted_labels_are_distant():
         truth = bundle.true_labels[iid]
         if label != truth:
             assert h.tree_distance(label, truth) >= 4
+    # no leaf is 4 edges from another: planted labels fall back to the farthest leaves
+    narrow = balanced_hierarchy(1, 1, 3, negative_label=None)
+    bundle = synth_corpus(narrow, random.Random(7), size=50, models=1, noise_rate=0.4)
+    truths = bundle.true_labels.items()
+    assert {narrow.tree_distance(bundle.pool.label_of(iid), t) for iid, t in truths} == {0, 2}
 
 
 def test_prediction_flips_stay_close():
@@ -112,6 +117,9 @@ def test_rate_validation():
         synth_corpus(h, rng, size=10, models=1, noise_rate=0.9, eliminate_rate=0.2)
     with pytest.raises(ValidationError):
         synth_corpus(h, rng, size=0, models=1)
+    one_leaf = balanced_hierarchy(1, 1, 1, negative_label=None)
+    with pytest.raises(ValidationError, match="^hierarchy needs at least two leaf labels$"):
+        synth_corpus(one_leaf, rng, size=10, models=1)
     nan = float("nan")
     for rates in ({"flip_rate": 1.5}, {"flip_rate": -0.1}, {"flip_rate": nan},
                   {"noise_rate": nan}, {"eliminate_rate": nan}, {"noise_rate": float("inf")}):
