@@ -19,7 +19,7 @@ from functools import cached_property
 from itertools import compress, count, filterfalse, islice, repeat
 from operator import itemgetter, le, methodcaller, ne
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ParseError, ValidationError
 from .hierarchy import LabelHierarchy, _read_json
@@ -165,14 +165,17 @@ class ReannotationPool:
 
 
 def _gather(
-    ids: Sequence[str], position: Mapping[str, int], link: Mapping[str, int] | None, message: str
+    read_ids: Callable[[], Sequence[str]], position: Mapping[str, int],
+    link: Mapping[str, int] | None, message: str,
 ) -> list[int] | None:
     """The one rule that lines a container (which keeps its pool's id -> row map
     as `_position`) up with a pool: None, read in place, when the maps `link`
-    and `position` are one object; else the row in `position` of each of `ids`.
-    The first id that `position` lacks raises `message`, formatted with that id."""
+    and `position` are one object; else the row in `position` of each id that
+    `read_ids()` returns (called only then). The first id that `position`
+    lacks raises `message`, formatted with that id."""
     if link is position:
         return None
+    ids = read_ids()
     rows = list(map(position.get, ids))
     if None in rows:
         raise ValidationError(message.format(ids[rows.index(None)]))
@@ -244,7 +247,7 @@ class PredictionSet:
         """Per model, in model order, its label and confidence columns in
         `pool`'s row order, lined up through `_gather`: read in place when
         `_position` is `pool`'s own, else gathered by id."""
-        slots = _gather(pool._ids, self._position, pool._position, self._missing)
+        slots = _gather(pool.ids, self._position, pool._position, self._missing)
         if slots is None:
             return list(self._columns.values())
         return [
@@ -260,12 +263,12 @@ class PredictionSet:
 
     def record(self, model_id: str, instance_id: str) -> PredictionRecord:
         labels, confs = self._column(model_id)
-        [slot] = _gather((instance_id,), self._position, None, self._missing)
+        [slot] = _gather(lambda: (instance_id,), self._position, None, self._missing)
         return PredictionRecord(model_id, instance_id, labels[slot], confs[slot])
 
     def for_instance(self, instance_id: str) -> tuple[PredictionRecord, ...]:
         """All models' records for one instance, in model order."""
-        [slot] = _gather((instance_id,), self._position, None, self._missing)
+        [slot] = _gather(lambda: (instance_id,), self._position, None, self._missing)
         return tuple([
             PredictionRecord(model, instance_id, labels[slot], confs[slot])
             for model, (labels, confs) in self._columns.items()

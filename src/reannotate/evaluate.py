@@ -117,7 +117,7 @@ class CurveSeries:
 def _rows_of(ranking: RankedList, position: Mapping[str, int], message: str) -> Sequence[int]:
     """Each rank's row in the pool whose id -> row map is `position` (`_gather`);
     a ranking whose ids are not exactly the pool's (they are distinct) raises `message`."""
-    rows = _gather(ranking.ids, position, ranking._position, message)
+    rows = _gather(lambda: ranking.ids, position, ranking._position, message)
     if rows is not None and len(rows) != len(position):
         raise ValidationError(message)
     return ranking._rows if rows is None else rows

@@ -11,6 +11,7 @@ import csv
 import enum
 import math
 import random
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -162,13 +163,16 @@ class RankedList:
 
     The score of ``ids[i]`` is exactly ``keys[i] / denominator``. Scores never
     increase down the list, and ties are in ascending id order. A list from
-    `rank` also remembers each rank's pool row (``_rows``) and that pool's
-    id -> row map (``_position``); they are not fields, and a list built by
-    hand, copied or unpickled has neither.
+    `rank` also remembers each rank's pool row (``_rows``), that pool's
+    id -> row map (``_position``), and its id column and the key per row it
+    was sorted by (``_sorted_by``); it builds ``ids`` and ``keys`` from them
+    on first read. They are not fields, and a list built by hand, copied or
+    unpickled has none of them.
     """
 
     _rows = None
     _position = None
+    _sorted_by = None
 
     strategy: StrategyKind
     ids: tuple[str, ...]
@@ -200,15 +204,27 @@ class RankedList:
 
     @classmethod
     def _from_sorted(
-        cls, strategy: StrategyKind, ids: tuple[str, ...], keys: tuple[int, ...], denominator: int,
-        rows: list[int], position: dict[str, int],
+        cls, strategy: StrategyKind, denominator: int, rows: list[int], pool: ReannotationPool,
+        key_of: Sequence[float],
     ) -> RankedList:
-        """A list that `rank` built in order itself from the rows of the pool
-        whose id -> row map is `position`, so the checks above are skipped."""
+        """A list that `rank` sorted itself: `rows` of `pool` in rank order, by
+        `key_of`, the key per row. The checks above are skipped."""
         ranking = cls.__new__(cls)
-        ranking.__dict__.update(strategy=strategy, ids=ids, keys=keys, denominator=denominator)
-        ranking.__dict__.update(_rows=rows, _position=position)
+        ranking.__dict__.update(strategy=strategy, denominator=denominator, _rows=rows)
+        ranking.__dict__.update(_position=pool._position, _sorted_by=(pool._ids, key_of))
         return ranking
+
+    def __getattr__(self, name: str):  # called only for what the instance and class lack
+        """`ids` or `keys` of a list from `rank`, built from its rows on first
+        read and kept in one store of a finished tuple."""
+        if name not in ("ids", "keys") or self._sorted_by is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        pool_ids, key_of = self._sorted_by
+        values = map((pool_ids if name == "ids" else key_of).__getitem__, self._rows)
+        if name == "keys" and self.strategy is StrategyKind.RANDOM:  # a draw times 2^53 is exact
+            values = map(int, map(mul, values, repeat(2.0**53)))
+        view = self.__dict__[name] = tuple(values)
+        return view
 
     def __reduce__(self):  # a copy is checked afresh and keeps no pool rows
         return type(self), (self.strategy, self.ids, self.keys, self.denominator)
@@ -218,12 +234,14 @@ class RankedList:
         return self.strategy.value
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return len(self.ids if self._rows is None else self._rows)
 
     def top(self, budget: int) -> tuple[str, ...]:
         """Ids selected at the given budget (the length-B prefix)."""
-        if not 0 <= budget <= len(self.ids):
-            raise ValidationError(f"budget {budget} outside [0, {len(self.ids)}]")
+        if isinstance(budget, bool) or not isinstance(budget, int):
+            raise ValidationError(f"budget {budget!r} is not an integer")
+        if not 0 <= budget <= len(self):
+            raise ValidationError(f"budget {budget} outside [0, {len(self)}]")
         return self.ids[:budget]
 
     def write_csv(self, target: str | Path) -> None:
@@ -258,7 +276,8 @@ def rank(
             raise ValidationError("random strategy requires a seed")
         _check_seed(seed)
         draws = map(random.Random.random, repeat(random.Random(seed), len(pool)))
-        keys, denominator = dict(zip(pool._id_order, draws)), 2**53
+        keys, denominator = [0.0] * len(pool), 2**53
+        deque(map(keys.__setitem__, pool._id_order, draws), maxlen=0)  # each row's draw
     elif predictions is None:
         raise ValidationError(f"{kind.value} strategy requires predictions")
     elif kind is not StrategyKind.CONFIDENCE and hierarchy is None:
@@ -266,8 +285,5 @@ def rank(
     else:
         keys, denominator = _scores(pool, predictions, hierarchy, kind)
     order = pool._id_order.copy()  # the stable sort below keeps ties in ascending id order
-    order.sort(key=keys.__getitem__, reverse=True)
-    ids, keys = tuple(map(pool._ids.__getitem__, order)), tuple(map(keys.__getitem__, order))
-    if kind is StrategyKind.RANDOM:  # sorting the floats was faster than their keys
-        keys = tuple(map(int, map(mul, keys, repeat(2.0**53))))
-    return RankedList._from_sorted(kind, ids, keys, denominator, order, pool._position)
+    order.sort(key=keys.__getitem__, reverse=True)  # RANDOM sorts its float draws: faster than ints
+    return RankedList._from_sorted(kind, denominator, order, pool, keys)

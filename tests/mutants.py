@@ -1,4 +1,5 @@
-"""Mutation smoke test for the JSON Lines readers' checks and the GD/LD fast path.
+"""Mutation smoke test for the JSON Lines readers' checks, the GD/LD fast path,
+and the pool rows and first-read ids and keys of a list from `rank`.
 
 Each mutant below is applied alone to a copy of src/, tests/ and
 pyproject.toml in a temporary directory, and the tests in TESTS run there:
@@ -21,8 +22,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = "src/reannotate/corpus.py"
+EVALUATE = "src/reannotate/evaluate.py"
 STRATEGIES = "src/reannotate/strategies.py"
-TESTS = ["tests/test_corpus.py", "tests/test_properties.py", "tests/test_strategies.py"]
+TESTS = [
+    "tests/test_corpus.py", "tests/test_evaluate.py", "tests/test_properties.py",
+    "tests/test_strategies.py",
+]
 PYTEST = ["-q", "-x", "-p", "no:cacheprovider", *TESTS]
 # `python -m pytest`, but only once the `reannotate` that the tests will use is
 # known to be the copy's: `pythonpath = ["src"]` and an editable install of
@@ -138,6 +143,25 @@ MUTANTS = [
         STRATEGIES,
         "    shift = (len(columns) * hierarchy.height).bit_length()\n",
         "    shift = hierarchy.height.bit_length()\n",
+    ),
+    (
+        "(o) GD and LD walk each (dataset label, prediction) pair once per row, not once",
+        STRATEGIES,
+        "    @cache\n    def pair(a: str, b: str) -> int:",
+        "    def pair(a: str, b: str) -> int:",
+    ),
+    (
+        "(p) RANDOM's keys, built on first read, skip the 2^53 scaling of the draws",
+        STRATEGIES,
+        "            values = map(int, map(mul, values, repeat(2.0**53)))\n",
+        "            values = map(int, values)\n",
+    ),
+    (
+        "(q) _rows_of reads a list's kept rows without asking whose pool they are",
+        EVALUATE,
+        "    rows = _gather(lambda: ranking.ids, position, ranking._position, message)\n",
+        "    rows = None if ranking._rows is not None else _gather(\n"
+        "        lambda: ranking.ids, position, ranking._position, message)\n",
     ),
 ]
 

@@ -232,6 +232,13 @@ def test_apply_is_idempotent(trace_case):
     assert twice.eliminated_ids == ()
 
 
+@pytest.mark.parametrize("budget", [True, 1.0, "2"])
+def test_apply_refuses_a_budget_that_is_not_an_integer(trace_case, budget):
+    pool, gold, ranking = trace_case
+    with pytest.raises(ValidationError, match=f"^budget {re.escape(repr(budget))} is not an "):
+        apply_reannotation(pool, ranking, gold, budget)
+
+
 def test_apply_preserves_untouched_metadata():
     pool = make_pool({"e1": "A", "e2": "B"})
     gold = make_gold(pool, {"e1": "C"})
@@ -794,3 +801,23 @@ def test_ranking_and_curves_build_no_instance(tmp_path, monkeypatch):
     assert built == []
     pool.get(pool.ids()[0])  # the counter counts
     assert len(built) == 1
+
+
+def test_curves_never_build_the_ids_or_keys_of_a_rank_output(tmp_path):
+    # the curves read only the pool rows a list from rank keeps; its ids and
+    # keys tuples are built on their first read, here by `top`
+    assert main(["synth", "--out", str(tmp_path), "--seed", "5", "--pool-size", "200"]) == 0
+    hierarchy = load_hierarchy(tmp_path / "hierarchy.json")
+    pool = load_pool(tmp_path / "pool.jsonl")
+    preds = load_predictions(sorted(tmp_path.glob("predictions_*.jsonl")), pool)
+    gold = load_gold(tmp_path / "gold.jsonl", pool)
+    schedule = BudgetSchedule.strided(30, len(pool))
+    ranked = [rank(pool, preds, hierarchy, kind, seed=2) for kind in StrategyKind]
+    for ranking, other in zip(ranked, ranked[1:] + ranked[:1]):
+        efficiency_curve(ranking, gold, schedule)
+        jaccard_curve(ranking, other, schedule)
+        f1_curve(preds, pool, ranking, gold, schedule, NEG)
+        assert len(ranking) == len(pool)
+    assert all("ids" not in vars(r) and "keys" not in vars(r) for r in ranked)
+    assert ranked[0].top(3) == ranked[0].ids[:3]
+    assert "ids" in vars(ranked[0]) and "keys" not in vars(ranked[0])

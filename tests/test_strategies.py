@@ -17,6 +17,7 @@ from helpers import (
 from reannotate import (
     Instance,
     LabelHierarchy,
+    RankedList,
     StrategyKind,
     UnknownLabelError,
     ValidationError,
@@ -229,6 +230,17 @@ def test_top_prefix():
         ranked.top(6)
     with pytest.raises(ValidationError):
         ranked.top(-1)
+
+
+@pytest.mark.parametrize("budget", [True, False, 2.5, 3.0, "3", None])
+def test_top_refuses_a_budget_that_is_not_an_integer(budget):
+    pool = make_pool({f"e{i}": "a" for i in range(5)})
+    for ranked in (
+        rank(pool, None, None, StrategyKind.RANDOM, seed=1),
+        RankedList(StrategyKind.RANDOM, ("e1", "e2"), (1, 0), 1),
+    ):
+        with pytest.raises(ValidationError, match=f"^budget {re.escape(repr(budget))} is not an "):
+            ranked.top(budget)
 
 
 def test_ranked_csv_format(tmp_path, excerpt, worked_pool):
@@ -450,7 +462,10 @@ def test_kept_walks_serve_only_their_own_pool_and_hierarchy():
 
     assert rank(pool, predictions, counted, GD) == fresh(pool, h, GD)
     walks = counted.walks
-    assert walks > 0
+    pairs = {
+        (pool.label_of(iid), label) for labels in by_model.values() for iid, label in labels.items()
+    }
+    assert walks == len(pairs)  # one walk per distinct (dataset label, prediction) pair
     assert rank(pool, predictions, counted, LD) == fresh(pool, h, LD)
     assert counted.walks == walks  # the second strategy walks nothing
 
@@ -482,6 +497,48 @@ def test_unknown_label_keeps_nothing():
     # e1: (a, b) 2 edges, 1 up to the LCA; e2: (c, a) 3 edges, 2 up to the LCA
     assert _scores_of(rank(pool, predictions, large, LD)) == {"e1": Fraction(1, 2), "e2": 1}
     assert _scores_of(rank(pool, predictions, large, GD)) == {"e1": 1, "e2": Fraction(3, 2)}
+
+
+# -- ids and keys of a list from rank, built from its rows on first read -------
+
+
+def test_a_rank_output_equals_its_checked_copy_for_every_strategy():
+    for bundle in _corpora(3):
+        for kind in StrategyKind:
+            ranked = rank(bundle.pool, bundle.predictions, bundle.hierarchy, kind, seed=5)
+            assert "ids" not in vars(ranked) and "keys" not in vars(ranked)
+            assert len(ranked) == len(bundle.pool)
+            checked = RankedList(ranked.strategy, ranked.ids, ranked.keys, ranked.denominator)
+            assert (ranked, hash(ranked), repr(ranked)) == (checked, hash(checked), repr(checked))
+            assert ranked.ids is ranked.ids and ranked.keys is ranked.keys  # built once, then kept
+            assert {type(key) for key in ranked.keys} == {int}
+            assert checked._sorted_by is None and not hasattr(ranked, "scores")
+
+
+def test_threads_racing_on_a_rankings_first_read_get_equal_tuples():
+    # ids and keys are each kept in one store of a finished tuple: threads
+    # racing on a fresh list's first read, in either order, all get equal tuples
+    h, pool, by_model = _random_tree_bundle(random.Random(6), 200, 300, 5)
+    predictions = make_predictions(pool, by_model)
+
+    def read(ranked, i):  # odd threads read keys first
+        if i % 2:
+            keys = ranked.keys
+            return ranked.ids, keys
+        return ranked.ids, ranked.keys
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for kind in StrategyKind:
+            expected = read(rank(pool, predictions, h, kind, seed=4), 0)
+            for _ in range(4):
+                fresh = rank(pool, predictions, h, kind, seed=4)
+                with ThreadPoolExecutor(max_workers=8) as pool_of_threads:
+                    futures = [pool_of_threads.submit(read, fresh, i) for i in range(8)]
+                    assert all(future.result(timeout=60) == expected for future in futures)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_gd_and_ld_from_many_threads_read_whole_walks():
