@@ -12,6 +12,7 @@ construction places labels through a label -> object map local to the call.
 from __future__ import annotations
 
 import json
+import re
 from collections import deque
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
@@ -455,6 +456,7 @@ _GOLD_FIELDS = (
     ("id", _STR, "a string", True),
     ("gold", frozenset({str, type(None)}), "a string or null", True),
 )
+_SURROGATE = re.compile(r"[\ud800-\udfff]")  # a str holding one cannot be written as UTF-8
 
 
 def _checked(obj: dict, fields: tuple, where: str) -> list:
@@ -466,6 +468,8 @@ def _checked(obj: dict, fields: tuple, where: str) -> list:
         value = obj.get(key)
         if type(value) not in types:
             raise ParseError(f"{where}: field {key!r} must be {must_be}")
+        if type(value) is str and not value.isascii() and _SURROGATE.search(value):
+            raise ParseError(f"{where}: field {key!r} holds a lone surrogate, not UTF-8 text")
         values.append(value)
     return values
 
@@ -477,8 +481,12 @@ def _columns(records: list, fields: tuple) -> list[list] | None:
         try:
             column = list(map(itemgetter(key) if required else methodcaller("get", key), records))
             if types is _STR:
-                "".join(column)  # quicker than a type pass; json makes no str subclass
+                text = "".join(column)  # quicker than a type pass; json makes no str subclass
             elif not types.issuperset(map(type, column)):
+                return None
+            else:
+                text = "".join(filter(None, column)) if str in types else ""
+            if not text.isascii() and _SURROGATE.search(text):
                 return None
         except (KeyError, TypeError):  # TypeError: an entry that is no object, or no str
             return None

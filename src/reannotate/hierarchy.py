@@ -13,84 +13,64 @@ class UnknownLabelError(ValidationError):
     """Raised when a queried label is not a node of the hierarchy."""
 
 
-class HierarchyNode:
-    """One hierarchy node, linked to its parent and children."""
-
-    __slots__ = ("name", "parent", "children", "depth")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.parent: HierarchyNode | None = None
-        self.children: list[HierarchyNode] = []
-        self.depth = -1
-
-    def __repr__(self) -> str:
-        return f"HierarchyNode({self.name!r}, depth={self.depth})"
-
-
 class LabelHierarchy:
     """Immutable rooted tree over label names.
 
-    Built once from (name, parent-or-None) records. Depths are computed at
-    construction, so ``lca``, ``tree_distance``, and ``distance_to_lca``
-    each walk at most O(h) parent links, h being the tree height. Nothing
-    mutates after construction; unrestricted concurrent reads are safe.
+    Built once from (name, parent-or-None) records, it keeps two maps: each
+    name's parent (None for the root), in record order, and each name's
+    depth. ``lca``, ``tree_distance`` and ``distance_to_lca`` each climb at
+    most O(h) parent links, h being the tree height; ``children`` and
+    ``leaves`` scan the parent map. Nothing mutates after construction;
+    unrestricted concurrent reads are safe.
 
     Grouping nodes and relation labels are both ordinary nodes: any node
     name may occur as a dataset or predicted label.
     """
 
     def __init__(self, records: Iterable[tuple[str, str | None]]) -> None:
-        nodes: dict[str, HierarchyNode] = {}
-        parent_names: dict[str, str | None] = {}
-        for name, parent in records:
-            if name in nodes:
+        parent: dict[str, str | None] = {}
+        for name, up in records:
+            if name in parent:
                 raise ValidationError(f"duplicate node name: {name!r}")
-            nodes[name] = HierarchyNode(name)
-            parent_names[name] = parent
-        if not nodes:
+            parent[name] = up
+        if not parent:
             raise ValidationError("hierarchy has no nodes")
 
-        roots = [name for name, parent in parent_names.items() if parent is None]
+        roots = [name for name, up in parent.items() if up is None]
         if not roots:
             raise ValidationError("no root: every node declares a parent")
         if len(roots) > 1:
             raise ValidationError("multiple roots: " + ", ".join(sorted(roots)))
 
-        for name, parent in parent_names.items():
-            if parent is None:
+        children: dict[str, list[str]] = {name: [] for name in parent}
+        for name, up in parent.items():
+            if up is None:
                 continue
-            if parent not in nodes:
-                raise ValidationError(f"node {name!r} references unknown parent {parent!r}")
-            node = nodes[name]
-            node.parent = nodes[parent]
-            nodes[parent].children.append(node)
+            if up not in children:
+                raise ValidationError(f"node {name!r} references unknown parent {up!r}")
+            children[up].append(name)
 
-        root = nodes[roots[0]]
-        root.depth = 0
-        reached = 1
-        frontier = [root]
-        while frontier:
-            nxt: list[HierarchyNode] = []
-            for node in frontier:
-                for child in node.children:
-                    child.depth = node.depth + 1
-                    nxt.append(child)
-            reached += len(nxt)
-            frontier = nxt
-        if reached != len(nodes):
-            stranded = sorted(n.name for n in nodes.values() if n.depth < 0)
+        depth, level, height = {roots[0]: 0}, roots, 0
+        while level := {child: name for name in level for child in children[name]}:
+            # each parent becomes the very object that is its node's key: a climb step
+            # then finds its key by identity, and the records' parent strings are freed
+            parent.update(level)
+            height += 1
+            depth.update(dict.fromkeys(level, height))
+        if len(depth) != len(parent):
+            stranded = sorted(parent.keys() - depth.keys())
             raise ValidationError("cycle detected among nodes: " + ", ".join(stranded))
 
-        self._nodes = nodes
-        self._root = root
-        self._height = max(node.depth for node in nodes.values())
+        self._parent = parent
+        self._depth = depth
+        self._root = roots[0]
+        self._height = height
 
     # -- structure accessors -------------------------------------------------
 
     @property
     def root(self) -> str:
-        return self._root.name
+        return self._root
 
     @property
     def height(self) -> int:
@@ -98,78 +78,79 @@ class LabelHierarchy:
         return self._height
 
     def __len__(self) -> int:
-        return len(self._nodes)
+        return len(self._parent)
 
     def __contains__(self, name: object) -> bool:
-        return name in self._nodes
+        return name in self._parent
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._nodes)
+        return iter(self._parent)
 
     def names(self) -> tuple[str, ...]:
-        return tuple(self._nodes)
+        return tuple(self._parent)
 
     def depth(self, name: str) -> int:
-        return self._node(name).depth
-
-    def parent(self, name: str) -> str | None:
-        node = self._node(name).parent
-        return None if node is None else node.name
-
-    def children(self, name: str) -> tuple[str, ...]:
-        return tuple(child.name for child in self._node(name).children)
-
-    def leaves(self) -> tuple[str, ...]:
-        """Names of all childless nodes, in insertion order."""
-        return tuple(name for name, node in self._nodes.items() if not node.children)
-
-    def records(self) -> list[tuple[str, str | None]]:
-        """(name, parent) pairs in insertion order; rebuilds an equal hierarchy."""
-        return [
-            (name, node.parent.name if node.parent else None)
-            for name, node in self._nodes.items()
-        ]
-
-    # -- queries -------------------------------------------------------------
-
-    def _node(self, name: str) -> HierarchyNode:
         try:
-            return self._nodes[name]
+            return self._depth[name]
         except KeyError:
             raise UnknownLabelError(f"label not in hierarchy: {name!r}") from None
 
-    @staticmethod
-    def _lca_node(a: HierarchyNode, b: HierarchyNode) -> HierarchyNode:
-        # depth-equalizing two-pointer walk; O(h) parent steps
-        while a.depth > b.depth:
-            a = a.parent
-        while b.depth > a.depth:
-            b = b.parent
-        while a is not b:
-            a = a.parent
-            b = b.parent
-        return a
+    def parent(self, name: str) -> str | None:
+        self.depth(name)  # an unknown name raises
+        return self._parent[name]
+
+    def children(self, name: str) -> tuple[str, ...]:
+        self.depth(name)  # an unknown name raises
+        return tuple(child for child, up in self._parent.items() if up == name)
+
+    def leaves(self) -> tuple[str, ...]:
+        """Names of all childless nodes, in insertion order."""
+        parents = set(self._parent.values())
+        return tuple(name for name in self._parent if name not in parents)
+
+    def records(self) -> list[tuple[str, str | None]]:
+        """(name, parent) pairs in insertion order; rebuilds an equal hierarchy."""
+        return list(self._parent.items())
+
+    # -- queries -------------------------------------------------------------
+
+    def _lca(self, a: str, b: str) -> tuple[str, int, int]:
+        """lca(a, b) and the edges from ``a`` and from ``b`` up to it, by a
+        depth-equalizing two-pointer walk of O(h) parent steps; the first
+        unknown name raises."""
+        parent, depth = self._parent, self._depth
+        try:
+            da, db = depth[a], depth[b]
+        except KeyError:
+            self.depth(a), self.depth(b)  # raises for the first unknown name
+        d, e = da, db  # the depths of a and b as they climb
+        while d > e:
+            a, d = parent[a], d - 1
+        while e > d:
+            b, e = parent[b], e - 1
+        while a != b:  # equal names need not be one object
+            a, b, d = parent[a], parent[b], d - 1
+        return a, da - d, db - d
 
     def lca(self, a: str, b: str) -> str:
         """Deepest node that is an ancestor-or-self of both ``a`` and ``b``."""
-        return self._lca_node(self._node(a), self._node(b)).name
+        return self._lca(a, b)[0]
 
     def tree_distance(self, a: str, b: str) -> int:
         """Number of edges on the unique simple path between ``a`` and ``b``."""
-        na, nb = self._node(a), self._node(b)
-        return na.depth + nb.depth - 2 * self._lca_node(na, nb).depth
+        _, up, down = self._lca(a, b)
+        return up + down
 
     def distance_to_lca(self, a: str, b: str) -> int:
         """Edges from ``a`` up to lca(a, b). Not symmetric in general."""
-        na, nb = self._node(a), self._node(b)
-        return na.depth - self._lca_node(na, nb).depth
+        return self._lca(a, b)[1]
 
     def validate_labels(self, labels: Iterable[str]) -> list[str]:
         """Sorted list of the given labels that do not resolve to a node.
 
         An empty list means every label is resolvable.
         """
-        return sorted(set(labels).difference(self._nodes))
+        return sorted(set(labels).difference(self._parent))
 
 
 def _read_json(path: Path) -> Any:

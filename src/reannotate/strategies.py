@@ -104,16 +104,11 @@ def _distance_sums(
     2^shift, so the high part of a row's sum is its GD key and the low part its
     LD key."""
     shift = (len(columns) * hierarchy.height).bit_length()
-    nodes, lca_node = hierarchy._nodes, hierarchy._lca_node
+    lca = hierarchy._lca
 
     @cache
     def pair(a: str, b: str) -> int:  # one LCA walk per distinct pair
-        try:
-            na, nb = nodes[a], nodes[b]
-        except KeyError:
-            hierarchy._node(a), hierarchy._node(b)  # raises for the first unknown label
-        lca_depth = lca_node(na, nb).depth
-        up, down = na.depth - lca_depth, nb.depth - lca_depth
+        _, up, down = lca(a, b)  # raises for the first unknown label
         return (up + down) << shift | up  # tree_distance, distance_to_lca
 
     # zip walks the columns row by row: one instance's K pairs in turn

@@ -1,5 +1,6 @@
-"""Mutation smoke test for the JSON Lines readers' checks, the GD/LD fast path,
-and the pool rows and first-read ids and keys of a list from `rank`.
+"""Mutation smoke test for the JSON Lines readers' checks, the hierarchy walk,
+the GD/LD fast path, and the pool rows and first-read ids and keys of a list
+from `rank`.
 
 Each mutant below is applied alone to a copy of src/, tests/ and
 pyproject.toml in a temporary directory, and the tests in TESTS run there:
@@ -23,10 +24,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = "src/reannotate/corpus.py"
 EVALUATE = "src/reannotate/evaluate.py"
+HIERARCHY = "src/reannotate/hierarchy.py"
 STRATEGIES = "src/reannotate/strategies.py"
 TESTS = [
-    "tests/test_corpus.py", "tests/test_evaluate.py", "tests/test_properties.py",
-    "tests/test_strategies.py",
+    "tests/test_corpus.py", "tests/test_evaluate.py", "tests/test_hierarchy.py",
+    "tests/test_properties.py", "tests/test_strategies.py",
 ]
 PYTEST = ["-q", "-x", "-p", "no:cacheprovider", *TESTS]
 # `python -m pytest`, but only once the `reannotate` that the tests will use is
@@ -84,8 +86,8 @@ MUTANTS = [
     (
         "(e) _columns skips the model and id type checks of predictions",
         CORPUS,
-        '                "".join(column)',
-        "                fields is _PREDICTION_COLUMNS and key in ('model', 'id') or ''.join(column)",
+        'text = "".join(column)',
+        "text = '' if fields is _PREDICTION_COLUMNS and key in ('model', 'id') else ''.join(column)",
     ),
     (
         "(f) _flat takes a chunk whose records are fewer than its lines",
@@ -162,6 +164,24 @@ MUTANTS = [
         "    rows = _gather(lambda: ranking.ids, position, ranking._position, message)\n",
         "    rows = None if ranking._rows is not None else _gather(\n"
         "        lambda: ranking.ids, position, ranking._position, message)\n",
+    ),
+    (
+        "(r) the hierarchy walk's meeting test compares names by identity",
+        HIERARCHY,
+        "        while a != b:  # equal names need not be one object\n",
+        "        while a is not b:  # equal names need not be one object\n",
+    ),
+    (
+        "(s) only the first name of the walk climbs to equal depth",
+        HIERARCHY,
+        "        while e > d:\n            b, e = parent[b], e - 1\n",
+        "",
+    ),
+    (
+        "(t) parent() answers None for an unknown name",
+        HIERARCHY,
+        "        self.depth(name)  # an unknown name raises\n        return self._parent[name]\n",
+        "        return self._parent.get(name)\n",
     ),
 ]
 

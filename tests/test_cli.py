@@ -245,6 +245,32 @@ def test_unhashable_model_or_id_exits_2(worked_bundle, capsys, key, value):
     assert capsys.readouterr().err == f"error: {path}:2: field {key!r} must be a string\n"
 
 
+@pytest.mark.parametrize("command", ["validate", "rank", "f1curve"])
+@pytest.mark.parametrize("target, key, value, lineno", [
+    ("pool.jsonl", "id", "\ud800", 2),
+    ("pool.jsonl", "partition", "te\udfffst", 3),
+    ("preds_m1.jsonl", "model", "\udc80", 1),
+    ("preds_m2.jsonl", "label", "per:\udc80", 3),
+    ("gold.jsonl", "gold", "\ud83d", 1),
+])
+def test_lone_surrogate_string_exits_2(worked_bundle, capsys, command, target, key, value, lineno):
+    # "\ud800" is a legal JSON escape, but no UTF-8 output can hold the string it
+    # decodes to: the loader refuses it before anything is written
+    tmp_path, flags = worked_bundle
+    path = tmp_path / target
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    for record in records if key == "model" else records[lineno - 1:lineno]:
+        record[key] = value
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    out = tmp_path / "out"
+    extra = [] if command == "validate" else ["--strategy", "gd", "--out", str(out)]
+    assert main([command, *flags, *extra]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}:{lineno}: field {key!r} holds a lone surrogate, not UTF-8 text\n"
+    )
+    assert not out.exists()
+
+
 def test_validate_applies_label_map(tmp_path, excerpt):
     pool = make_pool({"s1": "old_name"})
     flags = write_bundle(tmp_path, excerpt, pool)

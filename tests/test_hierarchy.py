@@ -63,6 +63,84 @@ def test_children_follow_record_order():
     assert h.parent("r") is None
 
 
+@pytest.mark.parametrize(
+    "records, message",
+    [
+        ([("a", None), ("b", "a"), ("b", "a")], "duplicate node name: 'b'"),
+        ([], "hierarchy has no nodes"),
+        ([("a", "b"), ("b", "a")], "no root: every node declares a parent"),
+        ([("c", None), ("a", None), ("b", "a")], "multiple roots: a, c"),
+        ([("a", None), ("b", "a"), ("c", "ghost")], "node 'c' references unknown parent 'ghost'"),
+        # "d" hangs below the a <-> b cycle, so the root's tree does not reach it either
+        (
+            [("r", None), ("b", "a"), ("d", "b"), ("a", "b"), ("e", "r")],
+            "cycle detected among nodes: a, b, d",
+        ),
+    ],
+)
+def test_construction_error_text(records, message):
+    with pytest.raises(ValidationError) as raised:
+        LabelHierarchy(records)
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize(
+    "records, message",
+    [
+        ([("a", None), ("b", None), ("a", "b")], "duplicate node name: 'a'"),
+        ([("a", None), ("b", None), ("c", "ghost")], "multiple roots: a, b"),
+        ([("a", "ghost"), ("b", "a")], "no root: every node declares a parent"),
+        (
+            [("r", None), ("a", "b"), ("b", "a"), ("c", "ghost")],
+            "node 'c' references unknown parent 'ghost'",
+        ),
+        ([("r", None), ("x", "g1"), ("y", "g0")], "node 'x' references unknown parent 'g1'"),
+    ],
+)
+def test_first_check_decides_between_two_defects(records, message):
+    with pytest.raises(ValidationError) as raised:
+        LabelHierarchy(records)
+    assert str(raised.value) == message
+
+
+def test_parent_and_children_of_unknown_name_raise(excerpt):
+    for query in (excerpt.parent, excerpt.children):
+        with pytest.raises(UnknownLabelError, match=r"^label not in hierarchy: 'bogus'$"):
+            query("bogus")
+
+
+def test_leaves_in_record_order():
+    h = LabelHierarchy([("r", None), ("b", "r"), ("a", "r"), ("c", "b"), ("d", "b")])
+    assert h.leaves() == ("a", "c", "d")
+    assert h.children("b") == ("c", "d") and h.children("a") == ()
+    assert LabelHierarchy([("r", None)]).leaves() == ("r",)
+
+
+def _fresh(name):
+    """A string equal to `name` that is another object."""
+    copy = "".join([name[:1], name[1:]])
+    assert copy == name and copy is not name
+    return copy
+
+
+def test_queries_on_equal_names_that_are_other_objects(excerpt):
+    # records whose parents are other string objects than the names they equal,
+    # queried with names that are yet other objects
+    h = LabelHierarchy((n, p and _fresh(p)) for n, p in excerpt.records())
+    for a, b in (("per:parent", "per:age"), ("per:parent", "per:children"), ("per:age", "root")):
+        fa, fb = _fresh(a), _fresh(b)
+        for hierarchy in (excerpt, h):
+            assert hierarchy.lca(fa, fb) == excerpt.lca(a, b)
+            assert hierarchy.tree_distance(fa, fb) == excerpt.tree_distance(a, b)
+            assert hierarchy.distance_to_lca(fa, fb) == excerpt.distance_to_lca(a, b)
+            assert hierarchy.distance_to_lca(fb, fa) == excerpt.distance_to_lca(b, a)
+            assert hierarchy.lca(fa, a) == a and hierarchy.tree_distance(fa, a) == 0
+    assert h.lca("per:parent", "per:children") == "per:family"
+    assert h.depth(_fresh("per:age")) == 3 and h.parent(_fresh("per:age")) == "per-misc"
+    assert h.children(_fresh("per:family")) == excerpt.children("per:family")
+    assert h.records() == excerpt.records() and h.leaves() == excerpt.leaves()
+
+
 # -- worked example ------------------------------------------------------
 
 

@@ -445,9 +445,9 @@ class _CountingHierarchy(LabelHierarchy):
 
     walks = 0
 
-    def _lca_node(self, a, b):
+    def _lca(self, a, b):
         self.walks += 1
-        return LabelHierarchy._lca_node(a, b)
+        return super()._lca(a, b)
 
 
 def test_kept_walks_serve_only_their_own_pool_and_hierarchy():
