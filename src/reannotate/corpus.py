@@ -183,6 +183,14 @@ def _gather(
     return rows
 
 
+def _take(values: Sequence, rows: Sequence[int]) -> tuple:
+    """`values[row]` for each of `rows`, in one C-level pass of `itemgetter`,
+    which returns a bare value for one row and refuses none."""
+    if len(rows) == 1:
+        return (values[rows[0]],)
+    return itemgetter(*rows)(values) if rows else ()
+
+
 class PredictionRecord(NamedTuple):
     """One model's predicted label and confidence for one instance."""
 
@@ -244,17 +252,18 @@ class PredictionSet:
         """Ensemble size."""
         return len(self._columns)
 
-    def _over(self, pool: ReannotationPool) -> list[tuple[Sequence[str], Sequence[float]]]:
-        """Per model, in model order, its label and confidence columns in
-        `pool`'s row order, lined up through `_gather`: read in place when
-        `_position` is `pool`'s own, else gathered by id."""
+    def _over(
+        self, pool: ReannotationPool, labels_only: bool = False
+    ) -> list[tuple[Sequence, ...]]:
+        """Per model, in model order, its label and confidence columns (its
+        label column alone with `labels_only`) in `pool`'s row order, lined up
+        through `_gather`: read in place when `_position` is `pool`'s own,
+        else gathered by id."""
         slots = _gather(pool.ids, self._position, pool._position, self._missing)
+        pairs = [pair[:1] if labels_only else pair for pair in self._columns.values()]
         if slots is None:
-            return list(self._columns.values())
-        return [
-            tuple(list(map(column.__getitem__, slots)) for column in pair)
-            for pair in self._columns.values()
-        ]
+            return pairs
+        return [tuple(_take(column, slots) for column in pair) for pair in pairs]
 
     def _column(self, model_id: str) -> tuple[tuple[str, ...], tuple[float, ...]]:
         try:

@@ -12,14 +12,17 @@ read the rows in place over that pool and gather them by id over any other.
 from __future__ import annotations
 
 import csv
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate, compress, repeat
-from operator import add, and_, eq, is_, is_not, ne, sub
+from operator import add, and_, eq, is_, is_not, lshift, ne, neg, or_, rshift, sub
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .corpus import ELIMINATED, GoldSet, Instance, PredictionSet, ReannotationPool, _gather
+from .corpus import (
+    ELIMINATED, GoldSet, Instance, PredictionSet, ReannotationPool, _gather, _take,
+)
 from .errors import ValidationError
 from .strategies import RankedList
 
@@ -123,40 +126,26 @@ def _rows_of(ranking: RankedList, position: Mapping[str, int], message: str) -> 
     return ranking._rows if rows is None else rows
 
 
-def _flagged(
-    flags: Sequence[int], rows: Sequence[int], schedule: BudgetSchedule
-) -> tuple[bytes, list[int]]:
-    """Each rank's flag (`flags` holds one 0/1 per pool row), and how many
-    flagged ranks each budget's prefix holds."""
-    hits = bytes(map(flags.__getitem__, rows))
-    return hits, list(accumulate(map(hits.count, repeat(1), (0, *schedule), schedule)))
-
-
 def jaccard_curve(a: RankedList, b: RankedList, schedule: BudgetSchedule) -> CurveSeries:
     """Overlap of the two top-B selections at each budget: |A ∩ B| / |A ∪ B|.
 
     Defined as 1 at B = 0 (two empty selections); the series is labeled
     with `a`'s strategy name. Both selections grow as rows of one pool: the
-    pool `a` was ranked from by `rank`, else `a`'s ids in rank order.
+    pool `a` was ranked from by `rank`, else `a`'s ids in rank order. One
+    set gathers the rows of both prefixes; each prefix holds B distinct rows,
+    so |A ∩ B| = 2B − |A ∪ B|.
     """
     position = a._position or dict(zip(a.ids, range(len(a))))
     rows_a, rows_b = (_rows_of(r, position, "rankings cover different pools") for r in (a, b))
     _check_budgets(schedule, len(a))
-    in_a, in_b = bytearray(len(a)), bytearray(len(a))
-    intersection = 0
+    union: set[int] = set()
     previous = 0
     points = []
     for budget in schedule:
-        segment_a, segment_b = rows_a[previous:budget], rows_b[previous:budget]
-        for row in segment_a:
-            in_a[row] = 1
-        intersection += sum(map(in_b.__getitem__, segment_a))
-        for row in segment_b:
-            in_b[row] = 1
-        intersection += sum(map(in_a.__getitem__, segment_b))
+        union.update(rows_a[previous:budget], rows_b[previous:budget])
         previous = budget
-        union = 2 * budget - intersection
-        value = Fraction(1) if union == 0 else Fraction(intersection, union)
+        size = len(union)
+        value = Fraction(1) if size == 0 else Fraction(2 * budget - size, size)
         points.append(CurvePoint(budget, value))
     return CurveSeries("jaccard", a.name, tuple(points))
 
@@ -176,9 +165,10 @@ def efficiency_curve(
         raise ValidationError("efficiency undefined: the noisy set is empty")
     rows = _rows_of(ranking, gold._position, "gold and ranking cover different pools")
     _check_budgets(schedule, len(ranking))
-    _, caught = _flagged(gold._noisy_rows, rows, schedule)
+    hits = bytes(_take(gold._noisy_rows, rows))  # each rank's noisy flag
+    caught = accumulate(map(hits.count, repeat(1), (0, *schedule), schedule))
     points = tuple(
-        CurvePoint(b, Fraction(count, len(noisy))) for b, count in zip(schedule, caught)
+        CurvePoint(b, Fraction(found, len(noisy))) for b, found in zip(schedule, caught)
     )
     return CurveSeries("efficiency", ranking.name, points)
 
@@ -290,11 +280,13 @@ def _f1_state(
     drop_eliminated: bool,
 ) -> tuple:
     """The part of `f1_curve` that no ranking changes: the pool's id -> row
-    map, a flag per row (1 where the gold value changes the row's label in
-    `pool`), the changed rows as a row -> index map, each changed id's G
-    delta, and per model its budget-0 (tp, P, G) and each changed id's tp and
-    P deltas."""
-    columns = predictions._over(pool)
+    map; a code per row, 0 where the gold value leaves the row's label in
+    `pool` alone, else 1 + the index of that changed id; per model its
+    budget-0 (tp, P, G); the field width; and per changed id, at its
+    1 + index, one int packing its G delta and each model's tp and P deltas.
+    Each field holds its delta + 1 in `width` bits, from G in the lowest up
+    to the last model's P, and the sum of any set of changed ids' packed
+    ints holds each field's sum without a carry between fields."""
     labels, row = pool._labels, pool._position
     credit = _credited(labels, negative_label)
 
@@ -310,22 +302,21 @@ def _f1_state(
     old_credit, new_credit = _credited(old, negative_label), _credited(new, negative_label)
     gained = map(sub, map(is_not, new_credit, repeat(None)), map(is_not, old_credit, repeat(None)))
     walk_rows = list(map(row.__getitem__, walk))
-    models = []
-    for preds, _ in columns:
-        walk_preds = list(map(preds.__getitem__, walk_rows))
+    fields, counts = [list(gained)], []
+    for (preds,) in predictions._over(pool, labels_only=True):
+        walk_preds = _take(preds, walk_rows)
         tp_delta = map(sub, map(eq, walk_preds, new_credit), map(eq, walk_preds, old_credit))
         lost = map(and_, dropped, map(ne, walk_preds, repeat(negative_label)))  # P drops by 1
-        models.append((_counts(preds, credit, negative_label), list(tp_delta), list(lost)))
-    index = dict(zip(walk_rows, range(len(walk_rows))))
-    return row, list(map(index.__contains__, range(len(labels)))), index, list(gained), models
-
-
-def _moved(deltas: list[int], order: list[int], steps: list[slice]) -> list[int]:
-    """Per budget, the sum of `deltas` (one per changed id) over the changes
-    it has applied: `order` holds the changed ids in rank order, and `steps`
-    each budget's slice of them beyond the previous budget's."""
-    ranked = list(map(deltas.__getitem__, order))
-    return list(accumulate(map(sum, map(ranked.__getitem__, steps))))
+        fields += [list(tp_delta), list(map(neg, lost))]
+        counts.append(_counts(preds, credit, negative_label))
+    width = (2 * len(walk)).bit_length()  # a field sums to at most 2·changed
+    packed = repeat(0)
+    for field in reversed(fields):
+        packed = list(map(or_, map(lshift, packed, repeat(width)), map(add, field, repeat(1))))
+    code = [0] * len(labels)
+    for index, walk_row in enumerate(walk_rows, 1):
+        code[walk_row] = index
+    return row, code, counts, width, (0, *packed)
 
 
 def f1_curve(
@@ -358,25 +349,29 @@ def f1_curve(
     memo = predictions._f1_memo
     if memo is None or memo[0] is not pool or memo[1] is not gold or memo[2:4] != key[2:]:
         memo = predictions._f1_memo = (*key, _f1_state(predictions, *key))
-    position, changed, index, gained, models = memo[4]
+    position, code, counts, width, packed = memo[4]
     rows = _rows_of(ranking, position, "pool and ranking cover different instances")
     _check_budgets(schedule, len(ranking))
 
-    # the changed ids in rank order, and each budget's slice of them beyond
-    # the previous budget's
-    hits, applied = _flagged(changed, rows, schedule)
-    order = list(map(index.__getitem__, compress(rows, hits)))
-    steps = list(map(slice, (0, *applied), applied))
-    gold_moved = _moved(gained, order, steps)
+    # each rank's code; the changed ids' codes in rank order; how many of them
+    # each budget applies; and per budget the sum of their packed ints
+    codes = _take(code, rows)
+    ranks = list(compress(range(len(codes)), codes))
+    applied = list(map(bisect_left, repeat(ranks), schedule))
+    moved = _take((0, *accumulate(_take(packed, list(filter(None, codes))))), applied)
+    mask = (1 << width) - 1
 
+    def delta(field: int) -> map:  # per budget, the field's sum less its applied offsets
+        sums = map(and_, map(rshift, moved, repeat(field * width)), repeat(mask))
+        return map(sub, sums, applied)
+
+    gold_moved = list(delta(0))
     series = []
-    for model, ((tp, predicted, gold_count), tp_delta, lost) in zip(
-        predictions.model_ids, models
-    ):
+    for m, (model, (tp, predicted, gold_count)) in enumerate(zip(predictions.model_ids, counts)):
         scores = map(
             _scores,
-            map(add, repeat(tp), _moved(tp_delta, order, steps)),
-            map(sub, repeat(predicted), _moved(lost, order, steps)),
+            map(add, repeat(tp), delta(1 + 2 * m)),
+            map(add, repeat(predicted), delta(2 + 2 * m)),
             map(add, repeat(gold_count), gold_moved),
         )
         series += [

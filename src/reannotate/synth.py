@@ -1,4 +1,4 @@
-"""Synthetic fixtures: random hierarchies and corpora with planted annotation noise.
+"""Synthetic fixtures: balanced hierarchies and corpora with planted annotation noise.
 
 These generators back the test suite and the `synth` CLI subcommand, so the
 whole pipeline can be exercised without any licensed corpus.
@@ -20,16 +20,6 @@ from .corpus import (
 )
 from .errors import ValidationError
 from .hierarchy import LabelHierarchy
-
-
-def random_tree(rng: random.Random, size: int) -> LabelHierarchy:
-    """Uniform random recursive tree: node n{i} attaches below a random earlier node."""
-    if size < 1:
-        raise ValidationError("tree needs at least one node")
-    records: list[tuple[str, str | None]] = [("n0", None)]
-    for i in range(1, size):
-        records.append((f"n{i}", f"n{rng.randrange(i)}"))
-    return LabelHierarchy(records)
 
 
 def balanced_hierarchy(

@@ -104,6 +104,15 @@ def oracle_micro_f1(predictions, labels, negative_label):
 # -- fixture builders --------------------------------------------------------
 
 
+def random_tree(rng, size):
+    """Uniform random recursive tree: node n{i} attaches below a random earlier node."""
+    if size < 1:
+        raise ValidationError("tree needs at least one node")
+    records = [("n0", None)]
+    records += [(f"n{i}", f"n{rng.randrange(i)}") for i in range(1, size)]
+    return LabelHierarchy(records)
+
+
 def chain_hierarchy(size):
     """Path graph of the given size: n0 -> n1 -> ... (height = size - 1)."""
     records = [("n0", None)]

@@ -1,6 +1,7 @@
 """Mutation smoke test for the JSON Lines readers' checks, the hierarchy walk,
-the GD/LD fast path, and the pool rows and first-read ids and keys of a list
-from `rank`.
+the GD/LD fast path, the pool rows and first-read ids and keys of a list from
+`rank`, and the curves' fast paths (the one-gather helper, Jaccard's union
+count and f1_curve's packed deltas).
 
 Each mutant below is applied alone to a copy of src/, tests/ and
 pyproject.toml in a temporary directory, and the tests in TESTS run there:
@@ -182,6 +183,29 @@ MUTANTS = [
         HIERARCHY,
         "        self.depth(name)  # an unknown name raises\n        return self._parent[name]\n",
         "        return self._parent.get(name)\n",
+    ),
+    (
+        "(u) the one-gather helper returns a bare value for one row",
+        CORPUS,
+        "    if len(rows) == 1:\n        return (values[rows[0]],)\n",
+        "",
+    ),
+    (
+        "(v) f1_curve's packed fields are one bit short and carry into each other",
+        EVALUATE,
+        "    width = (2 * len(walk)).bit_length()",
+        "    width = (2 * len(walk)).bit_length() - 1",
+    ),
+    (
+        "(w) Jaccard reads the union's size before adding b's segment",
+        EVALUATE,
+        "        union.update(rows_a[previous:budget], rows_b[previous:budget])\n"
+        "        previous = budget\n"
+        "        size = len(union)\n",
+        "        union.update(rows_a[previous:budget])\n"
+        "        size = len(union)\n"
+        "        union.update(rows_b[previous:budget])\n"
+        "        previous = budget\n",
     ),
 ]
 

@@ -26,6 +26,7 @@ from helpers import (
     make_pool,
     make_predictions,
     oracle_micro_f1,
+    random_tree,
 )
 from reannotate import (
     BudgetSchedule,
@@ -43,7 +44,7 @@ from reannotate import (
     rank,
 )
 from reannotate.cli import main as cli_main
-from reannotate.synth import balanced_hierarchy, random_tree, synth_corpus
+from reannotate.synth import balanced_hierarchy, synth_corpus
 
 NEG = "no_relation"
 

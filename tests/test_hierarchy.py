@@ -3,10 +3,11 @@ import random
 
 import pytest
 
-from helpers import adjacency, ancestor_chain, bfs_distance, chain_hierarchy, lca_by_ancestor_sets
+from helpers import (
+    adjacency, ancestor_chain, bfs_distance, chain_hierarchy, lca_by_ancestor_sets, random_tree,
+)
 from reannotate import LabelHierarchy, ParseError, UnknownLabelError, ValidationError
 from reannotate.hierarchy import dump_hierarchy, load_hierarchy
-from reannotate.synth import random_tree
 
 
 def test_minimal_chain_depths():
@@ -191,6 +192,15 @@ def test_validate_labels(excerpt):
 
 
 # -- randomized properties -------------------------------------------------
+
+
+def test_random_tree_shape():
+    rng = random.Random(3)
+    h = random_tree(rng, 100)
+    assert len(h) == 100
+    assert h.root == "n0"
+    with pytest.raises(ValidationError):
+        random_tree(rng, 0)
 
 
 def test_queries_match_bruteforce_oracles():

@@ -12,8 +12,10 @@ code with evaluate.
 Ranking: on random trees, every strategy orders the pool by (score
 descending, id ascending), with scores recomputed from the BFS and
 ancestor-set oracles in helpers; efficiency and Jaccard curves keep their
-bounds, endpoints, monotonicity and symmetry, and every curve of a
+bounds, endpoints, monotonicity and symmetry, equal at every budget a
+recount from the sets of each list's `top(B)`, and every curve of a
 hand-built copy of a ranking equals that curve of `rank`'s own list.
+f1_curve with no changed label is flat at the pool's own scores.
 Confidence keys: over confidences down to subnormals, each key over the
 ranking's denominator is exactly the mean of the disagreeing models'
 confidences. CLI fuzz: command lines
@@ -45,6 +47,7 @@ from helpers import (
     make_predictions,
     oracle_micro_f1,
     ordered_ranking,
+    random_tree,
     reference_gold,
     reference_pool,
     reference_predictions,
@@ -70,7 +73,6 @@ from reannotate import (
     rank,
 )
 from reannotate.cli import _build_parser, main as cli_main
-from reannotate.synth import random_tree
 
 NEG = "no_relation"
 LABELS = ["A", "B", NEG]
@@ -540,6 +542,57 @@ def test_curves_of_a_hand_built_copy_equal_those_of_the_rank_output(case):
             assert jaccard_curve(other, built, schedule) == jaccard_curve(
                 other, ranking, schedule
             )
+
+
+def _schedules(n):
+    """Every budget from 0 to n, or a sparse drawn set of them: segments of
+    one row, of several and (at B = 0) of none."""
+    sparse = st.sets(st.integers(0, n), min_size=1).map(lambda budgets: tuple(sorted(budgets)))
+    return (st.just(tuple(range(n + 1))) | sparse).map(BudgetSchedule)
+
+
+@SETTINGS
+@given(case=ranking_cases(), data=st.data())
+def test_jaccard_and_efficiency_match_a_recount_from_prefix_sets(case, data):
+    # rank's lists, hand-built copies of them and drawn orders of the pool
+    hierarchy, pool, preds, gold, seed = case
+    schedule = data.draw(_schedules(len(pool)))
+    ranked = [rank(pool, preds, hierarchy, kind, seed=seed) for kind in StrategyKind]
+    lists = [*ranked, *(RankedList(r.strategy, r.ids, r.keys, r.denominator) for r in ranked)]
+    lists.append(ordered_ranking(data.draw(st.permutations(sorted(pool.ids())))))
+    noisy = gold.noisy_ids
+    for ranking in lists:
+        expected = tuple(Fraction(len(noisy & set(ranking.top(b))), len(noisy)) for b in schedule)
+        assert efficiency_curve(ranking, gold, schedule).values() == expected
+        for other in lists:
+            prefixes = [(set(ranking.top(b)), set(other.top(b))) for b in schedule]
+            expected = tuple(
+                Fraction(len(one & two), len(one | two)) if one | two else Fraction(1)
+                for one, two in prefixes
+            )
+            assert jaccard_curve(ranking, other, schedule).values() == expected
+
+
+@SETTINGS
+@given(case=relabel_cases(), drop=st.booleans(), data=st.data())
+def test_f1_curve_with_no_changed_label_is_flat_and_matches_recount(case, drop, data):
+    # gold repeats pool labels, and with drop off also eliminates: nothing changes
+    pool, preds, _, ranking, budgets = case
+    ids = sorted(pool.ids())
+    relabels = {iid: pool.label_of(iid) for iid in data.draw(st.sets(st.sampled_from(ids)))}
+    if not drop:
+        relabels.update(dict.fromkeys(data.draw(st.sets(st.sampled_from(ids))), None))
+    gold = make_gold(pool, relabels)
+    schedule = BudgetSchedule(tuple(sorted(budgets)))
+    series = f1_curve(preds, pool, ranking, gold, schedule, NEG, drop_eliminated=drop)
+    labels = {inst.id: inst.label for inst in pool}
+    for m in preds.model_ids:
+        pred_map = {rec.instance_id: rec.label for rec in preds.records_for_model(m)}
+        expected = oracle_micro_f1(pred_map, labels, NEG)
+        for s in series:
+            if s.series == m:
+                metric = ("precision", "recall", "f1").index(s.metric)
+                assert s.values() == (expected[metric],) * len(schedule)
 
 
 # -- exact confidence keys ----------------------------------------------------

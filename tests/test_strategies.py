@@ -13,6 +13,7 @@ from helpers import (
     lca_by_ancestor_sets,
     make_pool,
     make_predictions,
+    random_tree,
 )
 from reannotate import (
     Instance,
@@ -27,7 +28,7 @@ from reannotate import (
     lca_distance_score,
     rank,
 )
-from reannotate.synth import balanced_hierarchy, random_tree, synth_corpus
+from reannotate.synth import balanced_hierarchy, synth_corpus
 
 
 @pytest.fixture

@@ -4,7 +4,7 @@ import pytest
 
 from reannotate import ValidationError, load_gold, load_pool, load_predictions
 from reannotate.hierarchy import dump_hierarchy, load_hierarchy
-from reannotate.synth import balanced_hierarchy, random_tree, synth_corpus
+from reannotate.synth import balanced_hierarchy, synth_corpus
 
 
 def test_balanced_hierarchy_shape():
@@ -24,15 +24,6 @@ def test_balanced_hierarchy_without_negative():
     assert "no_relation" not in h
     with pytest.raises(ValidationError):
         balanced_hierarchy(groups=0)
-
-
-def test_random_tree_shape():
-    rng = random.Random(3)
-    h = random_tree(rng, 100)
-    assert len(h) == 100
-    assert h.root == "n0"
-    with pytest.raises(ValidationError):
-        random_tree(rng, 0)
 
 
 def test_corpus_deterministic_per_seed():
