@@ -1,12 +1,11 @@
 """Loaders and containers for pools, model predictions, gold relabels, and label maps.
 
 All containers are immutable after construction and safe for concurrent
-reads. The values a call keeps are a PredictionSet's f1_curve memo and its
-GD/LD distance sums (`strategies._scores`), each put there in a single store
-of a finished tuple. Loading itself is
-single-threaded per file. Containers hold columns and build record objects
-on access. Equal labels in a container share one str object: each load or
-construction places labels through a label -> object map local to the call.
+reads. A call may keep a value it built on a PredictionSet, only through
+`PredictionSet._keep`. Loading itself is single-threaded per file.
+Containers hold columns and build record objects on access. Equal labels in
+a container share one str object: each load or construction places labels
+through a label -> object map local to the call.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress, count, filterfalse, islice, repeat
-from operator import itemgetter, le, methodcaller, ne
+from operator import is_, itemgetter, le, methodcaller, ne
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -209,8 +208,7 @@ class PredictionSet:
     confidence column per model, in pool order; records are built on access.
     """
 
-    _f1_memo: tuple | None = None  # evaluate.f1_curve's last (pool, gold, negative, drop, state)
-    _distance_memo: tuple | None = None  # strategies._scores' last (pool, hierarchy, sums, shift)
+    _kept: dict = {}  # builder -> (key, value), from `_keep`; replaced whole, never changed
     _missing = "no predictions for instance {!r}"  # `_gather`'s message for an id without a slot
 
     def __init__(self, records: Iterable[PredictionRecord], pool: ReannotationPool) -> None:
@@ -265,6 +263,17 @@ class PredictionSet:
             return pairs
         return [tuple(_take(column, slots) for column in pair) for pair in pairs]
 
+    def _keep(self, build: Callable, *key: object) -> Any:
+        """`build(self, *key)`, or the one value kept for `build` when each item
+        of `key` is the very object it was built for. A store assigns a new
+        `_kept`, so readers see a finished entry or none; a raise keeps nothing."""
+        kept = self._kept.get(build)
+        if kept is not None and all(map(is_, kept[0], key)):
+            return kept[1]
+        value = build(self, *key)
+        self._kept = {**self._kept, build: (key, value)}
+        return value
+
     def _column(self, model_id: str) -> tuple[tuple[str, ...], tuple[float, ...]]:
         try:
             return self._columns[model_id]
@@ -278,11 +287,7 @@ class PredictionSet:
 
     def for_instance(self, instance_id: str) -> tuple[PredictionRecord, ...]:
         """All models' records for one instance, in model order."""
-        [slot] = _gather(lambda: (instance_id,), self._position, None, self._missing)
-        return tuple([
-            PredictionRecord(model, instance_id, labels[slot], confs[slot])
-            for model, (labels, confs) in self._columns.items()
-        ])
+        return tuple(map(self.record, self._columns, repeat(instance_id)))
 
     def records_for_model(self, model_id: str) -> tuple[PredictionRecord, ...]:
         """One model's records, in pool order."""

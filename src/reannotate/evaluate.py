@@ -3,10 +3,10 @@
 Curve values are exact rationals; each (strategy, budget) cell is a pure
 computation over immutable inputs, so sweeps parallelize freely and the
 assembled output is deterministic regardless of execution order. f1_curve
-keeps its ranking-independent state on the PredictionSet in one store of a
-finished tuple, so concurrent calls may both build it but never read half of
-it. A `rank` output keeps its pool rows and its pool's `_position`: the curves
-read the rows in place over that pool and gather them by id over any other.
+keeps its ranking-independent state on the PredictionSet (`_keep`), so
+concurrent calls may both build it but never read half of it. A `rank`
+output keeps its pool rows and its pool's `_position`: the curves read the
+rows in place over that pool and gather them by id over any other.
 """
 
 from __future__ import annotations
@@ -337,19 +337,17 @@ def f1_curve(
     ids whose gold value changes their label in `pool`, in rank order.
     Any other iterable of instances is first made a `ReannotationPool`, with
     that constructor's checks. The counts and the per-changed-id deltas do
-    not depend on the ranking: they are kept on `predictions` for the last
-    (pool, gold, negative label, drop) and reused, so a pool made afresh
-    from a plain iterable rebuilds them. The ranking's rows over the pool
-    are read in place when `rank` ordered it, else gathered by id.
+    not depend on the ranking: `predictions` keeps them for the very pool,
+    gold, negative label and drop flag objects of the last call (`_keep`), so
+    a pool made afresh from a plain iterable rebuilds them. The ranking's rows
+    over the pool are read in place when `rank` ordered it, else by id.
     """
     if not isinstance(pool, ReannotationPool):
         pool = ReannotationPool(pool)
-    key = (pool, gold, negative_label, drop_eliminated)
     # keyed on the pool, not its `_position`: each pool builds its own map, so the two agree
-    memo = predictions._f1_memo
-    if memo is None or memo[0] is not pool or memo[1] is not gold or memo[2:4] != key[2:]:
-        memo = predictions._f1_memo = (*key, _f1_state(predictions, *key))
-    position, code, counts, width, packed = memo[4]
+    position, code, counts, width, packed = predictions._keep(
+        _f1_state, pool, gold, negative_label, drop_eliminated
+    )
     rows = _rows_of(ranking, position, "pool and ranking cover different instances")
     _check_budgets(schedule, len(ranking))
 

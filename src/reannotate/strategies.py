@@ -62,8 +62,8 @@ def _scores(
     Reads the K prediction columns lined up with `pool` (`PredictionSet._over`).
     GD and LD come from one hierarchy walk per distinct (dataset label,
     prediction) pair: the row sums of `_distance_sums` hold both. Those sums
-    are kept on `predictions` for this (pool, hierarchy), so the other of the
-    two strategies reads them and walks no more.
+    are kept on `predictions` for these pool and hierarchy objects (`_keep`),
+    so the other of the two strategies reads them and walks no more.
     """
     k = predictions.k
     if kind is StrategyKind.CONFIDENCE:
@@ -84,25 +84,20 @@ def _scores(
         scale = math.lcm(*range(1, k + 1))
         per_count = [0] + [scale // n for n in range(1, k + 1)]  # 0 models disagree: key 0
         return list(map(mul, total, map(per_count.__getitem__, count))), scale << shift
-    memo = predictions._distance_memo
-    if memo is None or memo[0] is not pool or memo[1] is not hierarchy:
-        memo = (pool, hierarchy, *_distance_sums(predictions._over(pool), pool._labels, hierarchy))
-        predictions._distance_memo = memo  # one store of a finished tuple
-    _, _, sums, shift = memo
+    sums, shift = predictions._keep(_distance_sums, pool, hierarchy)
     if kind is StrategyKind.GD:
         return list(map(rshift, sums, repeat(shift))), k
     return list(map(and_, sums, repeat((1 << shift) - 1))), k
 
 
 def _distance_sums(
-    columns: list[tuple[Sequence[str], Sequence[float]]],
-    dataset_labels: Sequence[str],
-    hierarchy: LabelHierarchy,
+    predictions: PredictionSet, pool: ReannotationPool, hierarchy: LabelHierarchy
 ) -> tuple[list[int], int]:
-    """Per row, the sum over its K pairs (a, b) of tree_distance(a, b) << shift |
-    distance_to_lca(a, b), and shift. A row's K distances to the LCA sum below
-    2^shift, so the high part of a row's sum is its GD key and the low part its
-    LD key."""
+    """Per row of `pool`, the sum over its K pairs (a, b) of dataset label and
+    prediction of tree_distance(a, b) << shift | distance_to_lca(a, b), and
+    shift. A row's K distances to the LCA sum below 2^shift, so the high part
+    of a row's sum is its GD key and the low part its LD key."""
+    columns = predictions._over(pool, labels_only=True)
     shift = (len(columns) * hierarchy.height).bit_length()
     lca = hierarchy._lca
 
@@ -112,7 +107,7 @@ def _distance_sums(
         return (up + down) << shift | up  # tree_distance, distance_to_lca
 
     # zip walks the columns row by row: one instance's K pairs in turn
-    return list(map(sum, zip(*[map(pair, dataset_labels, labels) for labels, _ in columns]))), shift
+    return list(map(sum, zip(*[map(pair, pool._labels, labels) for (labels,) in columns]))), shift
 
 
 def _score_one(

@@ -68,19 +68,15 @@ def _distance_buckets(
 ) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
     far: dict[str, list[str]] = {}
     near: dict[str, list[str]] = {}
-    flip_pool = hierarchy.names() if allow_internal_predictions else leaves
+    flip_pool = hierarchy.names() if allow_internal_predictions else leaves  # holds every leaf
     for leaf in leaves:
-        distances = {other: hierarchy.tree_distance(leaf, other) for other in leaves}
-        candidates = [o for o, d in distances.items() if d >= plant_min_distance]
+        distance = {other: hierarchy.tree_distance(leaf, other) for other in flip_pool}
+        candidates = [o for o in leaves if distance[o] >= plant_min_distance]
         if not candidates:
-            top = max(d for o, d in distances.items() if o != leaf)
-            candidates = [o for o, d in distances.items() if d == top]
+            top = max(distance[o] for o in leaves if o != leaf)
+            candidates = [o for o in leaves if distance[o] == top]
         far[leaf] = candidates
-        close = [
-            o
-            for o in flip_pool
-            if o != leaf and hierarchy.tree_distance(leaf, o) <= flip_max_distance
-        ]
+        close = [o for o in flip_pool if o != leaf and distance[o] <= flip_max_distance]
         near[leaf] = close or [o for o in leaves if o != leaf]
     return far, near
 

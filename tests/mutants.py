@@ -1,7 +1,8 @@
 """Mutation smoke test for the JSON Lines readers' checks, the hierarchy walk,
-the GD/LD fast path, the pool rows and first-read ids and keys of a list from
-`rank`, and the curves' fast paths (the one-gather helper, Jaccard's union
-count and f1_curve's packed deltas).
+the GD/LD fast path, the kept-value rule (`PredictionSet._keep`: identity
+keys, one value per builder), the pool rows and first-read ids and keys of a
+list from `rank`, and the curves' fast paths (the one-gather helper,
+Jaccard's union count and f1_curve's packed deltas).
 
 Each mutant below is applied alone to a copy of src/, tests/ and
 pyproject.toml in a temporary directory, and the tests in TESTS run there:
@@ -124,10 +125,11 @@ MUTANTS = [
         "    if pool._ids[start:start + 1] == tuple(ids[:1]):",
     ),
     (
-        "(k) the walks kept on a prediction set serve another hierarchy",
-        STRATEGIES,
-        "    if memo is None or memo[0] is not pool or memo[1] is not hierarchy:\n",
-        "    if memo is None or memo[0] is not pool:\n",
+        "(k) a kept value serves a call whose key differs after its first item"
+        " (the walks serve another hierarchy)",
+        CORPUS,
+        "        if kept is not None and all(map(is_, kept[0], key)):\n",
+        "        if kept is not None and kept[0][0] is key[0]:\n",
     ),
     (
         "(l) LD counts the edges from the LCA down to the prediction",
@@ -206,6 +208,18 @@ MUTANTS = [
         "        size = len(union)\n"
         "        union.update(rows_b[previous:budget])\n"
         "        previous = budget\n",
+    ),
+    (
+        "(x) a kept value serves a call whose key is equal, not the same objects",
+        CORPUS,
+        "        if kept is not None and all(map(is_, kept[0], key)):\n",
+        "        if kept is not None and kept[0] == key:\n",
+    ),
+    (
+        "(y) one kept value for every builder: each store drops the others",
+        CORPUS,
+        "        self._kept = {**self._kept, build: (key, value)}\n",
+        "        self._kept = {build: (key, value)}\n",
     ),
 ]
 

@@ -11,11 +11,13 @@ from helpers import (
     ancestor_chain,
     bfs_distance,
     lca_by_ancestor_sets,
+    make_gold,
     make_pool,
     make_predictions,
     random_tree,
 )
 from reannotate import (
+    BudgetSchedule,
     Instance,
     LabelHierarchy,
     RankedList,
@@ -24,6 +26,7 @@ from reannotate import (
     ValidationError,
     apply_label_map,
     confidence_score,
+    f1_curve,
     graph_distance_score,
     lca_distance_score,
     rank,
@@ -483,6 +486,27 @@ def test_kept_walks_serve_only_their_own_pool_and_hierarchy():
         counted.walks = 0
         assert rank(p, predictions, counted, LD) == fresh(p, h, LD)
         assert counted.walks == walks
+
+
+def test_each_builder_keeps_its_own_value():
+    # an f1_curve between GD and LD keeps its state beside the kept walks,
+    # not in their place
+    rng = random.Random(12)
+    h, pool, by_model = _random_tree_bundle(rng, 30, 25, 3)
+    counted = _CountingHierarchy(h.records())
+    predictions = make_predictions(pool, by_model)
+    ranked = rank(pool, predictions, counted, GD)
+    walks = counted.walks
+    gold = make_gold(pool, {iid: rng.choice(h.names()) for iid in pool.ids()[::3]})
+    negative = h.names()[0]
+    schedule = BudgetSchedule((0, len(pool) // 2, len(pool)))
+    assert f1_curve(predictions, pool, ranked, gold, schedule, negative) == f1_curve(
+        make_predictions(pool, by_model), pool, ranked, gold, schedule, negative
+    )
+    assert rank(pool, predictions, counted, LD) == rank(
+        pool, make_predictions(pool, by_model), h, LD
+    )
+    assert counted.walks == walks  # LD reads the walks GD kept
 
 
 def test_unknown_label_keeps_nothing():
