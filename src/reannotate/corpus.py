@@ -3,9 +3,9 @@
 All containers are immutable after construction and safe for concurrent
 reads. A call may keep a value it built on a PredictionSet, only through
 `PredictionSet._keep`. Loading itself is single-threaded per file.
-Containers hold columns and build record objects on access. Equal labels in
-a container share one str object: each load or construction places labels
-through a label -> object map local to the call.
+Containers hold columns and build record objects on access. Every label a
+load or construction places is the one object `sys.intern` keeps for it, so
+equal labels are one str object across containers and loads.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from functools import cached_property
 from itertools import compress, count, filterfalse, islice, repeat
 from operator import is_, itemgetter, le, methodcaller, ne
 from pathlib import Path
+from sys import intern
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ParseError, ValidationError
@@ -67,7 +68,6 @@ class ReannotationPool:
         labels: list[str] = []
         partitions: list[str | None] = []
         metadata: dict[int, Mapping[str, Any]] = {}
-        shared: dict[str, str] = {}  # label -> its one object
         for inst in instances:
             if inst.metadata:
                 for key, *_ in _POOL_FIELDS:
@@ -77,7 +77,7 @@ class ReannotationPool:
                         )
                 metadata[len(ids)] = inst.metadata
             ids.append(inst.id)
-            labels.append(shared.setdefault(inst.label, inst.label))
+            labels.append(_interned(inst.label))
             partitions.append(inst.partition)
         self._set_columns(ids, labels, partitions, metadata)
 
@@ -213,9 +213,8 @@ class PredictionSet:
 
     def __init__(self, records: Iterable[PredictionRecord], pool: ReannotationPool) -> None:
         columns: _PredictionColumns = {}
-        shared = _label_objects(pool)
         for record in records:
-            _place_prediction(columns, pool._position, shared, *record)
+            _place_prediction(columns, pool._position, *record)
         self._set_columns(pool, columns)
 
     @classmethod
@@ -303,15 +302,15 @@ class PredictionSet:
 _PredictionColumns = dict[str, tuple[list[str | None], list[float | None]]]
 
 
-def _label_objects(pool: ReannotationPool) -> dict:
-    """A fresh label -> object map seeded with the pool's labels: a value placed
-    through it is the pool's object when the pool holds an equal label."""
-    return {label: label for label in set(pool._labels)}
+def _interned(value: Any) -> Any:
+    """A str as its one object (`sys.intern`); any other value, which a record
+    or constructor may carry, unchanged for the caller's checks to refuse."""
+    return intern(value) if type(value) is str else value
 
 
 def _place_prediction(
-    columns: _PredictionColumns, position: Mapping[str, int], shared: dict, model: str,
-    iid: str, label: str, conf: float,
+    columns: _PredictionColumns, position: Mapping[str, int], model: str, iid: str,
+    label: str, conf: float,
 ) -> None:
     if not 0.0 <= conf <= 1.0:
         raise ValidationError(
@@ -329,13 +328,13 @@ def _place_prediction(
         raise ValidationError(
             f"duplicate prediction for model {model!r}, instance {iid!r}"
         )
-    column[0][slot] = shared.setdefault(label, label)
+    column[0][slot] = _interned(label)
     column[1][slot] = conf
 
 
 def _fill(
     column: tuple[list[str | None], list[float | None]], pool: ReannotationPool,
-    ids: list[str], labels: list[str], confs: list[float], shared: dict,
+    ids: list[str], labels: list[str], confs: list[float],
 ) -> bool:
     """Place a chunk of one model's checked predictions, or place none and
     return False when an id is unknown or repeated, or its slot is filled.
@@ -344,13 +343,12 @@ def _fill(
     in by slice; any other is placed slot by slot.
     """
     column_labels, column_confs = column
-    labels = map(shared.setdefault, labels, labels)
     start = pool._position.get(ids[0], 0)
     stop = start + len(ids)
     if pool._ids[start:stop] == tuple(ids):  # so every id is known, once, at start..stop
         if column_confs[start:stop].count(None) != len(ids):  # a slot an earlier chunk filled
             return False
-        column_labels[start:stop] = labels
+        column_labels[start:stop] = map(intern, labels)
         column_confs[start:stop] = confs
         return True
     slots = list(map(pool._position.get, ids))
@@ -359,7 +357,7 @@ def _fill(
         or set(map(column_confs.__getitem__, slots)) != {None}
     ):
         return False
-    deque(map(column_labels.__setitem__, slots, labels), maxlen=0)
+    deque(map(column_labels.__setitem__, slots, map(intern, labels)), maxlen=0)
     deque(map(column_confs.__setitem__, slots, confs), maxlen=0)
     return True
 
@@ -387,9 +385,8 @@ class GoldSet:
 
     def __init__(self, records: Iterable[GoldRecord], pool: ReannotationPool) -> None:
         gold: dict[str, str | _EliminatedType] = {}
-        shared = _label_objects(pool)
         for rec in records:
-            _place_gold(gold, pool._position, shared, rec.instance_id, rec.gold)
+            _place_gold(gold, pool._position, rec.instance_id, rec.gold)
         self._set_gold(gold, pool)
 
     @classmethod
@@ -427,10 +424,10 @@ class GoldSet:
 
 
 def _place_gold(
-    gold: dict[str, str | _EliminatedType], position: Mapping[str, int], shared: dict,
-    iid: str, value: str | _EliminatedType | None,
+    gold: dict[str, str | _EliminatedType], position: Mapping[str, int], iid: str,
+    value: str | _EliminatedType | None,
 ) -> None:
-    value = shared.setdefault(value, value)
+    value = _interned(value)
     if iid not in position:
         raise ValidationError(f"gold record for unknown instance {iid!r}")
     if iid in gold:
@@ -613,7 +610,6 @@ def load_pool(source: str | Path, format: str = "jsonl") -> ReannotationPool:
     labels: list[str] = []
     partitions: list[str | None] = []
     metadata: dict[int, Mapping[str, Any]] = {}
-    shared: dict[str, str] = {}  # label -> its one object
     with reading as chunks:
         for records, wheres in chunks:
             columns = _columns(records, _POOL_FIELDS)
@@ -628,7 +624,7 @@ def load_pool(source: str | Path, format: str = "jsonl") -> ReannotationPool:
                 if len(obj) > 2 + ("partition" in obj):  # keys beyond the pool fields
                     metadata[row] = {k: v for k, v in obj.items() if k not in _POOL_KEYS}
             ids += chunk_ids
-            labels += map(shared.setdefault, chunk_labels, chunk_labels)
+            labels += map(intern, chunk_labels)
             partitions += map(lowered.__getitem__, chunk_partitions)
     return ReannotationPool._from_columns(ids, labels, partitions, metadata)
 
@@ -664,7 +660,6 @@ def load_predictions(sources: Iterable[str | Path], pool: ReannotationPool) -> P
     paths = list(map(Path, sources))  # a bad source fails before any file is read
     position = pool._position
     columns: _PredictionColumns = {}
-    shared = _label_objects(pool)
     read_from: dict[str, Path] = {}
     for path in paths:
         model = None  # the file's, from its first record on
@@ -681,7 +676,7 @@ def load_predictions(sources: Iterable[str | Path], pool: ReannotationPool) -> P
                         set(models) == {model}
                         and all(map(le, repeat(0.0), confs))  # False for NaN too,
                         and max(confs) <= 1.0  # so max meets none
-                        and _fill(columns[model], pool, ids, labels, confs, shared)
+                        and _fill(columns[model], pool, ids, labels, confs)
                     ):
                         continue
                 for obj, where in zip(records, wheres):
@@ -703,7 +698,7 @@ def load_predictions(sources: Iterable[str | Path], pool: ReannotationPool) -> P
                         conf = float(conf)
                     except OverflowError:
                         raise ValidationError(f"{where}: confidence out of [0, 1]") from None
-                    _place_prediction(columns, position, shared, model, iid, label, conf)
+                    _place_prediction(columns, position, model, iid, label, conf)
         if model is None:
             raise ValidationError(f"{path}: no prediction records")
     return PredictionSet._from_columns(pool, columns)
@@ -723,13 +718,13 @@ def load_gold(source: str | Path, pool: ReannotationPool) -> GoldSet:
     path = Path(source)
     position = pool._position
     gold: dict[str, str | _EliminatedType] = {}
-    shared = {None: ELIMINATED, **_label_objects(pool)}  # JSON null is ELIMINATED
     with _jsonl_chunks(path) as chunks:
         for records, wheres in chunks:
             fields = _columns(records, _GOLD_FIELDS)
             if fields:
                 ids, values = fields
-                chunk_gold = dict(zip(ids, map(shared.setdefault, values, values)))
+                values = [ELIMINATED if v is None else intern(v) for v in values]  # JSON null
+                chunk_gold = dict(zip(ids, values))
                 if (
                     "" not in values
                     and len(chunk_gold) == len(ids)  # no id twice
@@ -740,7 +735,7 @@ def load_gold(source: str | Path, pool: ReannotationPool) -> GoldSet:
                     continue
             for obj, where in zip(records, wheres):
                 iid, value = _checked(obj, _GOLD_FIELDS, where)
-                _place_gold(gold, position, shared, iid, value)
+                _place_gold(gold, position, iid, ELIMINATED if value is None else value)
     return GoldSet._from_values(gold, pool)
 
 
@@ -774,8 +769,7 @@ def apply_label_map(pool: ReannotationPool, mapping: Mapping[str, str]) -> Reann
     unmapped = sorted(labels - mapping.keys())
     if unmapped:
         raise ValidationError("label map has no entry for: " + ", ".join(unmapped))
-    shared: dict[str, str] = {}  # image -> its one object
-    image = {label: shared.setdefault(mapping[label], mapping[label]) for label in labels}
+    image = {label: _interned(mapping[label]) for label in labels}
     return ReannotationPool._from_columns(
         pool._ids, map(image.__getitem__, pool._labels), pool._partitions, pool._metadata
     )

@@ -12,6 +12,7 @@ import enum
 import math
 import random
 from collections import deque
+from copy import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -116,7 +117,8 @@ def _score_one(
     hierarchy: LabelHierarchy | None,
     kind: StrategyKind,
 ) -> Fraction:
-    keys, denominator = _scores(ReannotationPool((instance,)), predictions, hierarchy, kind)
+    # a shallow copy keeps what the one-instance pool builds; `predictions` keeps its own
+    keys, denominator = _scores(ReannotationPool((instance,)), copy(predictions), hierarchy, kind)
     return Fraction(keys[0], denominator)
 
 

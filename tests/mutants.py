@@ -1,8 +1,11 @@
-"""Mutation smoke test for the JSON Lines readers' checks, the hierarchy walk,
-the GD/LD fast path, the kept-value rule (`PredictionSet._keep`: identity
-keys, one value per builder), the pool rows and first-read ids and keys of a
-list from `rank`, and the curves' fast paths (the one-gather helper,
-Jaccard's union count and f1_curve's packed deltas).
+"""Mutation smoke test for the JSON Lines readers' checks, label interning
+(`sys.intern` on every path that places a label, and the guard that passes a
+non-str label on to the checks), the hierarchy walk, the GD/LD fast path, the
+kept-value rule (`PredictionSet._keep`: identity keys, one value per builder,
+and the single-instance scorers' copy that leaves `rank`'s sums kept), the
+pool rows and first-read ids and keys of a list from `rank`, and the curves'
+fast paths (the one-gather helper, Jaccard's union count and f1_curve's
+packed deltas).
 
 Each mutant below is applied alone to a copy of src/, tests/ and
 pyproject.toml in a temporary directory, and the tests in TESTS run there:
@@ -105,9 +108,9 @@ MUTANTS = [
         "",
     ),
     (
-        "(h) _place_prediction keeps the fresh label",
+        "(h) _place_prediction stores the record's label un-interned",
         CORPUS,
-        "    column[0][slot] = shared.setdefault(label, label)\n",
+        "    column[0][slot] = _interned(label)\n",
         "    column[0][slot] = label\n",
     ),
     (
@@ -220,6 +223,30 @@ MUTANTS = [
         CORPUS,
         "        self._kept = {**self._kept, build: (key, value)}\n",
         "        self._kept = {build: (key, value)}\n",
+    ),
+    (
+        "(z) _fill's slice path stores the chunk's fresh labels",
+        CORPUS,
+        "        column_labels[start:stop] = map(intern, labels)\n",
+        "        column_labels[start:stop] = labels\n",
+    ),
+    (
+        "(z') load_pool adds its chunk labels un-interned",
+        CORPUS,
+        "            labels += map(intern, chunk_labels)\n",
+        "            labels += chunk_labels\n",
+    ),
+    (
+        "(z'') the constructors and record paths intern a label that is no str",
+        CORPUS,
+        "    return intern(value) if type(value) is str else value\n",
+        "    return intern(value)\n",
+    ),
+    (
+        "(aa) a single-instance scorer keeps its sums on the prediction set, not a copy",
+        STRATEGIES,
+        "copy(predictions), hierarchy, kind)",
+        "predictions, hierarchy, kind)",
     ),
 ]
 

@@ -672,3 +672,66 @@ def test_empty_out_is_rejected_and_writes_nothing(worked_bundle, monkeypatch, ca
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert list(cwd.iterdir()) == []
+
+
+# -- robustness -------------------------------------------------------------
+
+_FUZZ_BYTES = b'{}[]",:.-+eE0129aulnrt\\ \t\r\n\x00\x7f\xc3\xff'  # JSON syntax, and worse
+
+
+def _mutated(data, rng):
+    """`data` with one to three random edits: a byte replaced, inserted or
+    deleted, or a line dropped, or moved once or twice."""
+    data = bytearray(data)
+    for _ in range(rng.randint(1, 3)):
+        edit = rng.randrange(5)
+        at = rng.randrange(len(data) + 1)
+        if edit == 0 and at < len(data):
+            data[at] = rng.choice(_FUZZ_BYTES)
+        elif edit == 1:
+            data.insert(at, rng.choice(_FUZZ_BYTES))
+        elif edit == 2:
+            del data[at:at + rng.randint(1, 8)]
+        else:
+            lines = data.splitlines(keepends=True)
+            line = lines.pop(rng.randrange(len(lines))) if lines else b""
+            if edit == 4:  # moved, once or twice
+                lines[rng.randrange(len(lines) + 1):0] = [line] * rng.randint(1, 2)
+            data = bytearray(b"".join(lines))
+    return bytes(data)
+
+
+def test_byte_mutated_inputs_exit_0_1_or_2_on_one_line(tmp_path, capsys):
+    # a seeded, bounded fuzzer: each case edits one file of a synth bundle and
+    # runs one command in process; none may end in a traceback or a longer message
+    data, out = tmp_path / "data", str(tmp_path / "out")
+    assert main(["synth", "--out", str(data), "--seed", "5", "--pool-size", "30"]) == 0
+    names = json.loads((data / "manifest.json").read_text())["outputs"]
+    originals = {name: (data / name).read_bytes() for name in names}
+    flags = ["--hierarchy", str(data / "hierarchy.json"), "--dataset", str(data / "pool.jsonl"),
+             "--gold", str(data / "gold.jsonl")]
+    for name in names:
+        if name.startswith("predictions_"):
+            flags += ["--predictions", str(data / name)]
+    commands = {
+        "validate": [],
+        "rank": ["--strategy", "gd", "--strategy", "ld", "--out", out],
+        "sweep": ["--strategy", "confidence", "--strategy", "random", "--seed", "1", "--out", out],
+        "f1curve": ["--strategy", "gd", "--budgets", "stride:7", "--out", out],
+    }
+    capsys.readouterr()
+    rng = random.Random(32)
+    codes = []
+    for case in range(300):
+        name, command = rng.choice(names), rng.choice(sorted(commands))
+        (data / name).write_bytes(_mutated(originals[name], rng))
+        try:
+            codes.append(main([command, *flags, *commands[command]]))
+        except Exception as exc:
+            pytest.fail(f"case {case}, {command} with {name} edited: {exc!r}")
+        finally:
+            (data / name).write_bytes(originals[name])
+        err = capsys.readouterr().err
+        assert codes[-1] in (0, 1, 2), (case, command, name)
+        assert err == "" or err.startswith("error: ") and err.count("\n") == 1, (case, err)
+    assert {0, 1, 2} <= set(codes)  # the edits reach every outcome

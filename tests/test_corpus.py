@@ -147,9 +147,10 @@ def test_empty_pool_rejected():
         ReannotationPool([])
 
 
-def test_empty_label_rejected():
-    with pytest.raises(ValidationError, match="empty label"):
-        ReannotationPool([Instance("e1", "")])
+@pytest.mark.parametrize("label", ["", None])  # a label that is no str is not interned
+def test_empty_label_rejected(label):
+    with pytest.raises(ValidationError, match="^instance 'e1' has an empty label$"):
+        ReannotationPool([Instance("e1", label)])
 
 
 def test_pool_round_trip(tmp_path):
@@ -287,6 +288,12 @@ def test_gold_unknown_instance(pool3):
 def test_gold_duplicate_record(pool3):
     with pytest.raises(ValidationError, match="duplicate gold"):
         GoldSet([GoldRecord("e1", "b"), GoldRecord("e1", "a")], pool3)
+
+
+@pytest.mark.parametrize("value", ["", None])  # a None gold value is neither a label nor ELIMINATED
+def test_gold_empty_label(pool3, value):
+    with pytest.raises(ValidationError, match="^empty gold label for 'e1'$"):
+        GoldSet([GoldRecord("e1", value)], pool3)
 
 
 def test_load_gold_file(tmp_path, pool3):
@@ -927,6 +934,7 @@ def test_equal_labels_share_one_object(tmp_path):
         {"id": iid, "relation": names[i % 3]} for i, iid in enumerate(ids)
     ]))
     assert _one_object_per_label(inst.label for inst in pool)
+    assert load_pool(tmp_path / "pool.jsonl").label_of("e0") is pool.label_of("e0")  # across loads
     # "per:age" is no dataset label; in m2 an int confidence sends the first chunk
     # record by record
     predicted = [*names, "per:age"]

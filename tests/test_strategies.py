@@ -509,6 +509,23 @@ def test_each_builder_keeps_its_own_value():
     assert counted.walks == walks  # LD reads the walks GD kept
 
 
+def test_single_instance_scorers_keep_the_ranked_walks():
+    # a scorer keeps its one-instance sums on a copy, not in place of rank's
+    rng = random.Random(9)
+    h, pool, by_model = _random_tree_bundle(rng, 30, 25, 4)
+    counted = _CountingHierarchy(h.records())
+    predictions = make_predictions(pool, by_model)
+    rank(pool, predictions, counted, GD)
+    instance = pool.get(pool.ids()[0])
+    graph_distance_score(instance, predictions, counted)
+    lca_distance_score(instance, predictions, counted)
+    counted.walks = 0
+    assert rank(pool, predictions, counted, LD) == rank(
+        pool, make_predictions(pool, by_model), h, LD
+    )
+    assert counted.walks == 0  # LD reads the walks GD kept
+
+
 def test_unknown_label_keeps_nothing():
     small = LabelHierarchy([("root", None), ("a", "root")])
     large = LabelHierarchy([("root", None), ("a", "root"), ("b", "root"), ("c", "b")])
