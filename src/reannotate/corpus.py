@@ -443,10 +443,10 @@ def _place_gold(
 # array) against the field table of their kind, column by column. A chunk those
 # checks doubt is checked and placed record by record, which words the first
 # defect, so the first defective record in read order decides the error either
-# way. A JSON Lines chunk is parsed in one json.loads when _flat's brace counts
-# find one record a line, and a predictions chunk whose ids are a run of pool
-# rows is placed by slice (_fill). A field: (key, the types its value may have,
-# their wording, key required).
+# way. A JSON Lines chunk is parsed in one json.loads when _flat finds one record
+# a line, and a predictions chunk whose ids are a run of pool rows is placed by
+# slice (_fill). A field: (key, the types its value may have, their wording, key
+# required).
 _STR = frozenset({str})
 _POOL_FIELDS = (
     ("id", _STR, "a string", True),
@@ -506,38 +506,28 @@ def _columns(records: list, fields: tuple) -> list[list] | None:
 
 
 def _flat(chunk: list[str]) -> list[dict] | None:
-    """The records of a flat chunk from one json.loads, or None when the chunk is not flat.
+    r"""The records of a flat chunk from one json.loads, or None when the chunk is not flat.
 
-    Flat: no "[" in the chunk and exactly one "{" and one "}" on each of its N
-    non-blank lines, so that each of the N parsed dicts lies on its own line:
-    the records a line by line decode reads.
-
-    The gate counts each brace over the whole text, and asks of each line only
-    that its last non-blank character be "}"; given N parsed dicts, that is
-    the same test. N dicts use up N braces of each kind, so no dict nests and
-    no string holds a brace. A "}" ends each line, so it is the line's only
-    one: dict k closes at the end of line k, and dict k + 1 opens after the
-    comma that joins line k to line k + 1, so on line k + 1. Conversely, one
-    brace of each kind a line puts dict k on line k, with only blanks after
-    it. Totals alone would not do: '{"x":1}, {"a": 1' then '"b": 2}' hold two
-    of each and parse to two dicts.
+    Flat: no "[", and N records from N non-blank lines that each start with "{".
+    Each line but the chunk's last ends in a raw "\n", which no strict JSON string
+    holds, so the "\n,{" that joins two lines lies outside every string. With no
+    array, that "," parts two top-level values (in an object a key follows it), so
+    each line opens its own record, an object, and with N records no line holds two.
     """
     lines = chunk
-    if not all(map(str.endswith, chunk, repeat(("}\n", "}")))):  # a line blank, padded or worse
-        lines = list(filterfalse(str.isspace, chunk))
-        if not all(line.rstrip().endswith("}") for line in lines):
-            return None
     text = ",".join(lines)
-    n = len(lines)
-    if "[" in text or text.count("{") != n or text.count("}") != n:
+    if not text.startswith("{") or text.count("\n,{") != len(lines) - 1:  # a blank line or worse
+        lines = list(filterfalse(str.isspace, chunk))
+        text = ",".join(lines)
+        if not text.startswith("{") or text.count("\n,{") != len(lines) - 1:
+            return None
+    if "[" in text:
         return None
     try:
         records = json.loads(f"[{text}]")
-    except ValueError:  # incl. over-long ints
+    except (ValueError, RecursionError):  # incl. over-long ints, and objects nested too deep
         return None
-    if len(records) != len(lines) or set(map(type, records)) != {dict}:
-        return None
-    return records
+    return records if len(records) == len(lines) else None
 
 
 @contextmanager
@@ -661,16 +651,26 @@ def load_predictions(sources: Iterable[str | Path], pool: ReannotationPool) -> P
     position = pool._position
     columns: _PredictionColumns = {}
     read_from: dict[str, Path] = {}
+
+    def claim(model: str) -> str:
+        """`model` as the file's, from its first record: refused when another file
+        had it, else given its empty columns."""
+        if model in read_from:
+            raise ValidationError(
+                f"{path}: model {model!r} was already read from {read_from[model]}"
+            )
+        read_from[model] = path
+        columns[model] = ([None] * len(position), [None] * len(position))
+        return model
+
     for path in paths:
         model = None  # the file's, from its first record on
         with _jsonl_chunks(path) as chunks:
             for records, wheres in chunks:
                 fields = records and _columns(records, _PREDICTION_COLUMNS)
-                if fields and model is None and fields[0][0] not in read_from:
-                    model = fields[0][0]
-                    read_from[model] = path
-                    columns[model] = ([None] * len(position), [None] * len(position))
-                if fields and model is not None:  # by now, the model's columns exist
+                if fields:
+                    if model is None:
+                        model = claim(fields[0][0])
                     models, ids, labels, confs = fields
                     if (
                         set(models) == {model}
@@ -682,13 +682,7 @@ def load_predictions(sources: Iterable[str | Path], pool: ReannotationPool) -> P
                 for obj, where in zip(records, wheres):
                     record_model, iid, label, conf = _checked(obj, _PREDICTION_FIELDS, where)
                     if model is None:
-                        if record_model in read_from:
-                            raise ValidationError(
-                                f"{path}: model {record_model!r} was already read from "
-                                f"{read_from[record_model]}"
-                            )
-                        model = record_model
-                        read_from[model] = path
+                        model = claim(record_model)
                     elif record_model != model:
                         raise ValidationError(
                             f"{path}: mixes model ids {model!r} and {record_model!r}; "

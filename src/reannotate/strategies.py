@@ -16,12 +16,12 @@ from copy import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import repeat
+from itertools import compress, repeat
 from operator import add, and_, eq, ge, gt, lshift, mul, ne, rshift, sub, truediv
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import Instance, PredictionSet, ReannotationPool
+from .corpus import Instance, PredictionSet, ReannotationPool, _take
 from .errors import ValidationError
 from .hierarchy import LabelHierarchy
 
@@ -72,16 +72,18 @@ def _scores(
         smallest = min(min(filter(None, confs), default=1.0) for _, confs in columns)
         shift = 53 - math.frexp(smallest)[1]  # 2^shift times each confidence is an int
         first = min(shift, 1023)  # 2^1024 overflows a float
-        total, count = repeat(0), repeat(0)
-        for labels, confs in columns:
+        total, count = [0] * len(pool), [0] * len(pool)
+        for labels, confs in columns:  # only the rows where the model disagrees
+            rows = list(compress(range(len(pool)), map(ne, labels, dataset_labels)))
+            confs = _take(confs, rows)
             scaled = list(map(int, map(math.ldexp, confs, repeat(first))))
             if shift > first:  # a confidence below about 2^-970: add the bits under 2^-1023
                 low = map(math.ldexp, map(float, scaled), repeat(-first))
                 low = map(int, map(math.ldexp, map(sub, confs, low), repeat(shift)))
                 scaled = map(add, map(lshift, scaled, repeat(shift - first)), low)
-            differs = list(map(ne, labels, dataset_labels))
-            total = list(map(add, total, map(mul, scaled, differs)))
-            count = list(map(add, count, differs))
+            for row, value in zip(rows, scaled):
+                total[row] += value
+                count[row] += 1
         scale = math.lcm(*range(1, k + 1))
         per_count = [0] + [scale // n for n in range(1, k + 1)]  # 0 models disagree: key 0
         return list(map(mul, total, map(per_count.__getitem__, count))), scale << shift

@@ -1,11 +1,11 @@
 """Mutation smoke test for the JSON Lines readers' checks, label interning
 (`sys.intern` on every path that places a label, and the guard that passes a
-non-str label on to the checks), the hierarchy walk, the GD/LD fast path, the
-kept-value rule (`PredictionSet._keep`: identity keys, one value per builder,
-and the single-instance scorers' copy that leaves `rank`'s sums kept), the
-pool rows and first-read ids and keys of a list from `rank`, and the curves'
-fast paths (the one-gather helper, Jaccard's union count and f1_curve's
-packed deltas).
+non-str label on to the checks), the hierarchy walk, the GD/LD fast path,
+CONFIDENCE over the disagreeing rows, the kept-value rule
+(`PredictionSet._keep`: identity keys, one value per builder, and the
+single-instance scorers' copy that leaves `rank`'s sums kept), the pool rows
+and first-read ids and keys of a list from `rank`, and the curves' fast paths
+(the one-gather helper, Jaccard's union count and f1_curve's packed deltas).
 
 Each mutant below is applied alone to a copy of src/, tests/ and
 pyproject.toml in a temporary directory, and the tests in TESTS run there:
@@ -57,10 +57,10 @@ sys.exit(pytest.main(sys.argv[1:]))
 # (name, file, anchor, replacement)
 MUTANTS = [
     (
-        "(a) _flat accepts lines with up to two '{' and two '}' (totals up to twice the lines)",
+        "(a) _flat takes a chunk that holds a '['",
         CORPUS,
-        '    if "[" in text or text.count("{") != n or text.count("}") != n:\n',
-        '    if "[" in text or text.count("{") > 2 * n or text.count("}") > 2 * n:\n',
+        '    if "[" in text:\n        return None\n',
+        "",
     ),
     (
         "(b) _columns skips the confidence type check",
@@ -95,10 +95,16 @@ MUTANTS = [
         "text = '' if fields is _PREDICTION_COLUMNS and key in ('model', 'id') else ''.join(column)",
     ),
     (
-        "(f) _flat takes a chunk whose records are fewer than its lines",
+        "(f) _flat takes a chunk whose records are more than its lines",
         CORPUS,
-        "    if len(records) != len(lines) or set(map(type, records)) != {dict}:\n",
-        "    if set(map(type, records)) != {dict}:\n",
+        "    return records if len(records) == len(lines) else None\n",
+        "    return records if len(records) >= len(lines) else None\n",
+    ),
+    (
+        "(f') _flat lets the decoder's RecursionError through",
+        CORPUS,
+        "    except (ValueError, RecursionError):  # incl. over-long ints, and objects nested too deep\n",
+        "    except ValueError:\n",
     ),
     (
         "(g) a record error re-raises without decoding the rest of the file",
@@ -247,6 +253,18 @@ MUTANTS = [
         STRATEGIES,
         "copy(predictions), hierarchy, kind)",
         "predictions, hierarchy, kind)",
+    ),
+    (
+        "(ab) CONFIDENCE adds a disagreeing model's confidence but does not count the model",
+        STRATEGIES,
+        "                count[row] += 1\n",
+        "",
+    ),
+    (
+        "(ac) CONFIDENCE pairs the disagreeing rows with the column's first confidences",
+        STRATEGIES,
+        "            confs = _take(confs, rows)\n",
+        "",
     ),
 ]
 

@@ -515,9 +515,10 @@ def test_jsonl_line_numbers_hold_for_crlf_and_cr(tmp_path, newline):
 # -- bulk parse of flat files ------------------------------------------------
 
 # A bulk parse of "[" + ",".join(lines) + "]" reads each of these without
-# error, but not as one record a line; the per-line path rejects line 1.
+# error, but not as one record a line; the per-line path rejects line 1. Each
+# line ends in "\n", as a file's lines do, which the gate's "\n,{" count reads.
 TRAPS = [
-    ['{"a": [{"b": 1}', '{"c": 2}]}', "{}, {}"],
+    ['{"a": [{"b": 1}', '{"c": 2}]}', "{}, {}"],  # every line starts with "{"
     ['{"a":1', '"b":2}', '{"c":1}, {"d":2}'],
     [
         '{"id": "e1", "relation": "a", "x": [{"b": 1}',
@@ -538,17 +539,30 @@ TRAPS = [
     ['{"a": {"b": 1}', '"c": 2}, {"d": {}}'],
     # ... or as many as the lines, but in two records
     ['{"x": {"y": 1}', '"z": 2}', '{"w": 3}'],
+    # every line starts with "{" and the chunk holds no "[", but three records in two lines
+    ['{"id": "e1", "relation": "a"}, {"id": "e2", "relation": "a"}', '{"id": "e3"}'],
 ]
 
 
 @pytest.mark.parametrize("lines", TRAPS)
 def test_bulk_parse_refuses_records_that_are_not_one_per_line(tmp_path, lines):
+    lines = [line + "\n" for line in lines]
     path = tmp_path / "p.jsonl"
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("".join(lines))
     assert corpus._flat(lines) is None
     with pytest.raises(ParseError) as info:
         load_pool(path)
     assert str(info.value).startswith(f"{path}:1: invalid JSON: ")
+
+
+def test_an_object_nested_too_deep_for_the_decoder_is_refused_on_its_line(tmp_path):
+    # every line starts with "{" and the chunk holds no "[", so the bulk parse meets it
+    path = tmp_path / "p.jsonl"
+    deep = '{"a": ' * 100_000 + "1" + "}" * 100_000
+    path.write_text('{"id": "e1", "relation": "a"}\n' + deep + "\n")
+    with pytest.raises(ParseError) as info:
+        load_pool(path)
+    assert str(info.value).startswith(f"{path}:2: invalid JSON: ")
 
 
 def _flat_bundle(tmp_path, shuffled):

@@ -5,7 +5,9 @@ or raises ParseError / ValidationError. Loaders agree with a reference: on
 flat files with drawn defects and layouts, each JSON Lines loader accepts the
 values that the reference loader in helpers accepts (it reads one line at a
 time and shares no code with corpus), or raises the error class that the
-reference gives, at the location that the reference gives. Recount:
+reference gives, at the location that the reference gives. Flat chunks:
+on generated chunks of lines, the one-parse gate either refuses a chunk or
+gives the records its non-blank lines decode to one by one. Recount:
 f1_curve agrees at every budget with relabeling the pool from scratch and
 recounting through the confusion-matrix oracle in helpers, which shares no
 code with evaluate.
@@ -72,6 +74,7 @@ from reannotate import (
     micro_f1,
     rank,
 )
+from reannotate import corpus
 from reannotate.cli import _build_parser, main as cli_main
 
 NEG = "no_relation"
@@ -342,6 +345,63 @@ def test_load_gold_agrees_with_per_line_path(scratch, text):
     (path,) = _write(scratch.parent, [text])
     actual, expected = against_reference(load_gold, reference_gold, path, EQ_POOL)
     assert actual == expected
+
+
+# -- the flat-chunk gate --------------------------------------------------------
+
+# Strings that look like the gate's marks: braces, brackets, and the "\n,{" that
+# joins two lines, which a JSON string holds only escaped.
+lookalikes = st.sampled_from(["{", "}", "[", "]", "\n,{", "}\n,{", '"}, {"', ", {"])
+flat_values = st.one_of(scalars, lookalikes.map(json.dumps), json_text)
+chunk_records = st.recursive(
+    st.dictionaries(keys, flat_values, max_size=4).map(_obj),
+    lambda inner: st.dictionaries(keys, flat_values | inner, max_size=3).map(_obj),
+    max_leaves=8,
+)
+one_record = chunk_records.map(lambda text: [text])
+
+
+@st.composite
+def split_record(draw):
+    """One record's text over two lines."""
+    text = draw(chunk_records)
+    at = draw(st.integers(min_value=1, max_value=len(text) - 1))
+    return [text[:at], text[at:]]
+
+
+chunk_pieces = st.one_of(  # each a list of lines; most are one record a line
+    one_record, one_record, one_record, one_record,
+    st.sampled_from(["", " ", "\t ", "\x0b"]).map(lambda text: [text]),  # blank
+    st.tuples(padding, chunk_records, padding).map(lambda parts: ["".join(parts)]),  # padded
+    st.tuples(chunk_records, st.sampled_from(["", " ", ", ", ","]), chunk_records).map(
+        lambda parts: ["".join(parts)]  # two records on one line
+    ),
+    split_record(),
+    json_text.map(lambda text: [text]),  # an array or a scalar, too
+    raw_line.map(lambda text: [text]),
+)
+
+
+@st.composite
+def chunks(draw):
+    """Lines as a file yields them: each ends in "\\n", but the last may not."""
+    lines = [line + "\n" for piece in draw(st.lists(chunk_pieces, max_size=8)) for line in piece]
+    if lines and draw(st.booleans()):
+        lines[-1] = lines[-1][:-1]
+    return lines
+
+
+@settings(SETTINGS, max_examples=300)
+@given(chunk=chunks())
+def test_flat_chunk_is_its_lines_decoded_or_refused(chunk):
+    try:
+        expected = [json.loads(line) for line in chunk if line.strip()]
+    except ValueError:
+        expected = None
+    if expected is not None and not all(type(record) is dict for record in expected):
+        expected = None
+    flat = corpus._flat(chunk)
+    assert flat is None or repr(flat) == repr(expected)
 
 
 # -- recount ------------------------------------------------------------------
